@@ -45,8 +45,6 @@ from .harness import (
 )
 from .defaults import (
     default_frame_config,
-    default_coarse_config,
-    default_fine_config,
     default_plan,
 )
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
 import time
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ _SECTIONS = {
     },
     "channel": {"model", "max_delay_ns"},
     "coarse": {"search_step_ns", "segment_origin_ns"},
-    "fine": {"t_corr_ns", "fine_step_ns", "n_symbols_avg", "variant"},
+    "fine": {"t_corr_ns", "fine_step_ns", "n_symbols_avg"},
     "sweep": {
         "snr_grid_db", "m_grid", "modes", "floors", "trials_per_cell",
         "base_seed",
@@ -45,8 +45,10 @@ _SECTIONS = {
 }
 
 
-def _parse_list(text: str, conv):
-    return tuple(conv(tok.strip()) for tok in text.split(",") if tok.strip())
+def _list_of(conv):
+    """Converter for a comma-separated list of ``conv`` values."""
+    return lambda text: tuple(conv(tok.strip()) for tok in text.split(",")
+                              if tok.strip())
 
 
 def _ns_to_s(token) -> float:
@@ -68,10 +70,18 @@ def _ghz_to_hz(token) -> float:
     return float(tok + "e9")
 
 
-def _parse_snr(tok: str) -> float:
-    if tok.lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(tok)
+def _exact_token(value: float, unit_exp: int) -> str:
+    """Plain decimal token t with float(f"{t}e{unit_exp}") == value.
+
+    The shortest round-trip decimal of ``value``, shifted by the unit's
+    power of ten, is the same number, so ``_ns_to_s`` (unit_exp -9) and
+    ``_ghz_to_hz`` (unit_exp 9) parse it back to the same double.
+    """
+    return format(Decimal(repr(value)).scaleb(-unit_exp).normalize(), "f")
+
+
+def _ns(value_s: float) -> str:
+    return _exact_token(value_s, -9)
 
 
 def _get(section, key, conv, default):
@@ -116,9 +126,8 @@ def load_plan(path) -> ExperimentPlan:
         th_code=tuple([0] * _get(fr, "n_frames_per_symbol", int, 32)),
         sample_rate=sample_rate,
     )
-    if "th_code" in fr:
-        code = _parse_list(fr["th_code"], int)
-    else:
+    code = _get(fr, "th_code", _list_of(int), None)
+    if code is None:
         code = make_th_code(_get(fr, "th_code_seed", int, DEFAULT_TH_SEED), base)
     frame_cfg = base.with_th_code(code)
 
@@ -140,7 +149,6 @@ def load_plan(path) -> ExperimentPlan:
         t_corr=_get(fi, "t_corr_ns", _ns_to_s, 560e-9),
         fine_step=_get(fi, "fine_step_ns", _ns_to_s, 0.25e-9),
         n_symbols_avg=_get(fi, "n_symbols_avg", int, 8),
-        variant=_get(fi, "variant", str, "th_matched"),
     )
 
     sw = parser["sweep"] if parser.has_section("sweep") else {}
@@ -148,10 +156,10 @@ def load_plan(path) -> ExperimentPlan:
     if os.environ.get(ENV_SEED):
         base_seed = int(os.environ[ENV_SEED])
     return ExperimentPlan(
-        snr_grid_db=_parse_list(sw.get("snr_grid_db", "0, 8, 16"), _parse_snr),
-        m_grid=_parse_list(sw.get("m_grid", "8, 32"), int),
-        modes=_parse_list(sw.get("modes", "nda, da"), str),
-        floors=_parse_list(sw.get("floors", "coarse_only, coarse_plus_fine"), str),
+        snr_grid_db=_get(sw, "snr_grid_db", _list_of(float), (0.0, 8.0, 16.0)),
+        m_grid=_get(sw, "m_grid", _list_of(int), (8, 32)),
+        modes=_get(sw, "modes", _list_of(str), ("nda", "da")),
+        floors=_get(sw, "floors", _list_of(str), ("coarse_only", "coarse_plus_fine")),
         trials_per_cell=_get(sw, "trials_per_cell", int, 200),
         base_seed=base_seed,
         frame_cfg=frame_cfg,
@@ -163,39 +171,39 @@ def load_plan(path) -> ExperimentPlan:
 
 
 def plan_to_config_text(plan: ExperimentPlan, run_info: dict | None = None) -> str:
-    """Render a plan as a loadable config (used for the run manifest)."""
+    """Render a plan as a loadable config (used for the run manifest).
+
+    Every float is written as a token that parses back to the same
+    double, so loading the manifest reproduces the plan exactly.
+    """
     cfg = plan.frame_cfg
-    ns = 1e9
-    snr_toks = ", ".join("inf" if math.isinf(s) else f"{s:g}"
-                         for s in plan.snr_grid_db)
     lines = [
         "[frame]",
         f"n_frames_per_symbol = {cfg.n_frames_per_symbol}",
-        f"frame_duration_ns = {cfg.frame_duration * ns:.6g}",
-        f"chip_duration_ns = {cfg.chip_duration * ns:.6g}",
+        f"frame_duration_ns = {_ns(cfg.frame_duration)}",
+        f"chip_duration_ns = {_ns(cfg.chip_duration)}",
         f"n_chips = {cfg.n_chips}",
-        f"ppm_shift_ns = {cfg.ppm_shift * ns:.6g}",
-        f"pulse_duration_ns = {cfg.pulse_duration * ns:.6g}",
-        f"pulse_energy = {cfg.pulse_energy:.6g}",
-        f"sample_rate_ghz = {cfg.sample_rate / 1e9:.6g}",
+        f"ppm_shift_ns = {_ns(cfg.ppm_shift)}",
+        f"pulse_duration_ns = {_ns(cfg.pulse_duration)}",
+        f"pulse_energy = {cfg.pulse_energy!r}",
+        f"sample_rate_ghz = {_exact_token(cfg.sample_rate, 9)}",
         f"th_code = {', '.join(str(c) for c in cfg.th_code)}",
         "",
         "[channel]",
         f"model = {plan.channel_model}",
-        f"max_delay_ns = {plan.channel_max_delay * ns:.6g}",
+        f"max_delay_ns = {_ns(plan.channel_max_delay)}",
         "",
         "[coarse]",
-        f"search_step_ns = {plan.coarse_cfg.search_step * ns:.6g}",
-        f"segment_origin_ns = {plan.coarse_cfg.origin(cfg) * ns:.6g}",
+        f"search_step_ns = {_ns(plan.coarse_cfg.search_step)}",
+        f"segment_origin_ns = {_ns(plan.coarse_cfg.origin(cfg))}",
         "",
         "[fine]",
-        f"t_corr_ns = {plan.fine_cfg.t_corr * ns:.6g}",
-        f"fine_step_ns = {plan.fine_cfg.fine_step * ns:.6g}",
+        f"t_corr_ns = {_ns(plan.fine_cfg.t_corr)}",
+        f"fine_step_ns = {_ns(plan.fine_cfg.fine_step)}",
         f"n_symbols_avg = {plan.fine_cfg.n_symbols_avg}",
-        f"variant = {plan.fine_cfg.variant}",
         "",
         "[sweep]",
-        f"snr_grid_db = {snr_toks}",
+        f"snr_grid_db = {', '.join(repr(s) for s in plan.snr_grid_db)}",
         f"m_grid = {', '.join(str(m) for m in plan.m_grid)}",
         f"modes = {', '.join(plan.modes)}",
         f"floors = {', '.join(plan.floors)}",
@@ -281,10 +289,10 @@ def cmd_demo(args) -> int:
             raise ConfigError(f"mode must be nda or da, got {args.mode!r}")
         if args.m < 1:
             raise ConfigError("m must be >= 1")
+        snr = _get(vars(args), "snr", float, None)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    snr = _parse_snr(args.snr)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(_snr_definition_line(plan))

@@ -7,21 +7,18 @@ a 35-chip hopping alphabet with 1 ns chips, and a 1 ns PPM shift.
 
 from __future__ import annotations
 
-from .waveform import ConfigError, FrameConfig, make_th_code
-from .sync import CoarseConfig, FineConfig
+from .waveform import FrameConfig, make_th_code
 from .harness import ExperimentPlan
 
 __all__ = [
     "DEFAULT_TH_SEED",
     "DEFAULT_BASE_SEED",
     "default_frame_config",
-    "default_coarse_config",
-    "default_fine_config",
     "default_plan",
 ]
 
 # First small seed whose uniform code draw satisfies the no-leak frame
-# invariant (chips >= 34 would push a pulse past the frame end).
+# constraint (chips >= 34 would push a pulse past the frame end).
 DEFAULT_TH_SEED = 0
 
 DEFAULT_BASE_SEED = 20260801
@@ -34,20 +31,7 @@ def default_frame_config(th_seed: int = DEFAULT_TH_SEED) -> FrameConfig:
     return template.with_th_code(code)
 
 
-def default_coarse_config(**overrides) -> CoarseConfig:
-    return CoarseConfig(**overrides)
-
-
-def default_fine_config(**overrides) -> FineConfig:
-    return FineConfig(**overrides)
-
-
 def default_plan(**overrides) -> ExperimentPlan:
-    kwargs = dict(
-        frame_cfg=default_frame_config(),
-        coarse_cfg=default_coarse_config(),
-        fine_cfg=default_fine_config(),
-        base_seed=DEFAULT_BASE_SEED,
-    )
+    kwargs = dict(frame_cfg=default_frame_config(), base_seed=DEFAULT_BASE_SEED)
     kwargs.update(overrides)
     return ExperimentPlan(**kwargs)

@@ -72,6 +72,12 @@ class ExperimentPlan:
             raise ConfigError("trials_per_cell must be >= 1")
         if not self.snr_grid_db or not self.m_grid or not self.modes or not self.floors:
             raise ConfigError("sweep grids must be non-empty")
+        for snr in self.snr_grid_db:
+            if math.isnan(snr) or snr == -math.inf:
+                raise ConfigError(f"snr_grid_db: {snr!r} is not a finite SNR or inf")
+        for m in self.m_grid:
+            if m < 1:
+                raise ConfigError(f"m_grid: M = {m} must be >= 1")
         for mode in self.modes:
             if mode not in ("nda", "da"):
                 raise ConfigError(f"unknown mode {mode!r}")
@@ -155,7 +161,7 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
 
     Substreams: 0=TH code, 1=channel, 2=noise, 3=data bits, 4=timing
     offset.  The TH code is redrawn (deterministically, same stream) until
-    it satisfies the no-leak frame invariant; with the default 35-chip
+    it satisfies the no-leak frame constraint; with the default 35-chip
     alphabet a uniform draw can place a pulse too close to the frame end.
     """
     ss = np.random.SeedSequence(entropy=plan.base_seed,
@@ -188,8 +194,7 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
     else:
         bits = SymbolSequence.random(k_total, s_bits)
 
-    link = LinkParams(timing_offset=delta_tau, snr_db=snr_db,
-                      noise_seed=s_noise, channel_max_delay=plan.channel_max_delay)
+    link = LinkParams(timing_offset=delta_tau, snr_db=snr_db, noise_seed=s_noise)
     r = propagate(generate_tx(bits, cfg), ch, link, cfg)
     return TrialScene(cfg, ch, delta_tau, bits, r)
 

@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 COARSE_MODES = ("nda", "da")
-FINE_VARIANTS = ("th_matched", "symbol_lag")
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,6 @@ class FineConfig:
     t_corr: float = 560e-9
     fine_step: float = 0.25e-9
     n_symbols_avg: int = 8
-    variant: str = "th_matched"
 
     def __post_init__(self):
         if self.fine_step <= 0:
@@ -88,8 +86,6 @@ class FineConfig:
             raise ConfigError("t_corr must be non-negative")
         if self.n_symbols_avg < 1:
             raise ConfigError("n_symbols_avg must be >= 1")
-        if self.variant not in FINE_VARIANTS:
-            raise ConfigError(f"variant {self.variant!r} not in {FINE_VARIANTS}")
 
     @property
     def n_steps(self) -> int:
@@ -240,12 +236,10 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     Candidate offsets are tau1 + n*fine_step for n in [-N+1, N-1],
     N = ceil(t_corr / fine_step).  Each candidate's score is a sum over
     ``n_symbols_avg`` symbol pairs of |correlation between the waveform
-    and itself two symbols later|, taken either in short windows placed
-    at the receiver's own frame/chip positions (``th_matched``, default)
-    or over whole symbol windows at lag one symbol (``symbol_lag``, the
-    coarse statistic's plain-product cousin, kept for experimentation).
-    Ties resolve to the smallest |n|, negative first.  Offsets are
-    rounded to the sample grid per candidate.
+    and itself two symbols later|, taken in short windows placed at the
+    receiver's own frame/chip positions.  Ties resolve to the smallest
+    |n|, negative first.  Offsets are rounded to the sample grid per
+    candidate.
     """
     fs = cfg.sample_rate
     n_s = cfg.n_symbol_samples
@@ -259,39 +253,23 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     base = r.index_of(tau1 + cfg.symbol_duration)
     off_samples = np.round(offsets * fc.fine_step * fs).astype(np.int64)
 
-    if fc.variant == "th_matched":
-        lag = 2 * n_s
-        window = cfg.n_pulse_samples + cfg.n_shift_samples
-        frame_pos = cfg.frame_start_samples()
-        prod = x[:len(x) - lag] * x[lag:]
-        csum = np.concatenate(([0.0], np.cumsum(prod)))
-        starts = (base + off_samples[:, None, None]
-                  + (np.arange(k_avg) * n_s)[None, :, None]
-                  + frame_pos[None, None, :])
-        lo = int(starts.min())
-        hi = int(starts.max()) + window
-        if lo < 0 or hi > len(csum) - 1:
-            raise ValueError(
-                f"fine scan needs samples [{lo}, {hi}) beyond the record "
-                f"({len(prod)} lagged products); extend the record"
-            )
-        sums = csum[starts + window] - csum[starts]
-        z = np.sum(np.abs(np.sum(sums, axis=2)), axis=1) / fs
-    else:  # symbol_lag
-        lag = n_s
-        prod = x[:len(x) - lag] * x[lag:]
-        csum = np.concatenate(([0.0], np.cumsum(prod)))
-        starts = (base + off_samples[:, None]
-                  + (np.arange(k_avg) * n_s)[None, :])
-        lo = int(starts.min())
-        hi = int(starts.max()) + n_s
-        if lo < 0 or hi > len(csum) - 1:
-            raise ValueError(
-                f"fine scan needs samples [{lo}, {hi}) beyond the record; "
-                "extend the record"
-            )
-        sums = csum[starts + n_s] - csum[starts]
-        z = np.sum(np.abs(sums), axis=1) / fs
+    lag = 2 * n_s
+    window = cfg.n_pulse_samples + cfg.n_shift_samples
+    frame_pos = cfg.frame_start_samples()
+    prod = x[:len(x) - lag] * x[lag:]
+    csum = np.concatenate(([0.0], np.cumsum(prod)))
+    starts = (base + off_samples[:, None, None]
+              + (np.arange(k_avg) * n_s)[None, :, None]
+              + frame_pos[None, None, :])
+    lo = int(starts.min())
+    hi = int(starts.max()) + window
+    if lo < 0 or hi > len(csum) - 1:
+        raise ValueError(
+            f"fine scan needs samples [{lo}, {hi}) beyond the record "
+            f"({len(prod)} lagged products); extend the record"
+        )
+    sums = csum[starts + window] - csum[starts]
+    z = np.sum(np.abs(np.sum(sums, axis=2)), axis=1) / fs
 
     order = _fine_candidate_order(offsets)
     best = _argmax_with_tie_order(z, order)

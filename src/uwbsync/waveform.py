@@ -36,7 +36,7 @@ _GRID_TOL = 1e-6
 
 
 class ConfigError(ValueError):
-    """A configuration value violates an invariant of the signal format."""
+    """A configuration value violates a constraint of the signal format."""
 
 
 def _on_grid(value_s: float, sample_rate: float, name: str) -> int:

@@ -1,7 +1,11 @@
 """Channel model: tap statistics, propagation, energies, noise calibration."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +205,21 @@ class TestAggregateTemplate:
         expected[n:] += g * base.samples
         assert np.array_equal(t.samples, expected)
 
+    def test_many_taps_match_direct_convolution(self, cfg):
+        # Oracle: np.convolve of the one-symbol train with the tap kernel
+        # on the sample grid (coinciding taps add).
+        ch = generate_cm1(3)
+        assert ch.n_taps > 16
+        idx = np.round(np.asarray(ch.delays) * cfg.sample_rate).astype(np.int64)
+        kernel = np.zeros(int(idx[-1]) + 1)
+        np.add.at(kernel, idx, np.asarray(ch.gains))
+        tx = generate_tx(SymbolSequence.fixed([0]), cfg)
+        expected = np.convolve(tx.samples, kernel)
+        t = aggregate_template(ch, cfg)
+        assert t.samples.shape == expected.shape
+        peak = float(np.max(np.abs(expected)))
+        assert float(np.max(np.abs(t.samples - expected))) <= 1e-12 * peak
+
 
 class TestPartialEnergies:
     def test_tau_zero_puts_everything_in_b(self, cfg):
@@ -235,3 +254,14 @@ class TestPartialEnergies:
         t = aggregate_template(single_path(), cfg)
         with pytest.raises(ValueError):
             partial_energies(t, cfg.symbol_duration, cfg.symbol_duration)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, uwbsync; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from uwbsync import taps_from_text
+from uwbsync import CoarseConfig, ExperimentPlan, FineConfig, FrameConfig, taps_from_text
 from uwbsync.cli import load_plan, main, plan_to_config_text
 from uwbsync.defaults import default_plan
 
@@ -28,6 +29,18 @@ trials_per_cell = 2
 base_seed = 7
 """
 
+# Values that need more than six significant digits to reload exactly.
+LONG_DIGITS_CONFIG = """\
+[frame]
+pulse_energy = 1.23456789
+
+[channel]
+max_delay_ns = 12.3456789
+
+[sweep]
+snr_grid_db = inf, 0.1234567
+"""
+
 
 @pytest.fixture()
 def tiny_config(tmp_path):
@@ -44,10 +57,15 @@ class TestConfig:
         assert plan.trials_per_cell == 200
 
     def test_manifest_round_trip(self, tmp_path, tiny_config):
-        plan = load_plan(tiny_config)
-        manifest = tmp_path / "manifest.cfg"
-        manifest.write_text(plan_to_config_text(plan, run_info={"tool_version": "x"}))
-        assert load_plan(manifest) == plan
+        long_digits = tmp_path / "long_digits.cfg"
+        long_digits.write_text(LONG_DIGITS_CONFIG)
+        for path in (tiny_config, long_digits):
+            plan = load_plan(path)
+            manifest = tmp_path / "manifest.cfg"
+            manifest.write_text(plan_to_config_text(plan, run_info={"tool_version": "x"}))
+            assert load_plan(manifest) == plan
+        assert plan.frame_cfg.pulse_energy == 1.23456789
+        assert plan.snr_grid_db[1] == 0.1234567
 
     def test_unknown_key_is_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -63,6 +81,21 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "chip_duration" in err
 
+    @pytest.mark.parametrize("text, key", [
+        ("[sweep]\nsnr_grid_db = -inf", "snr_grid_db"),
+        ("[sweep]\nsnr_grid_db = nan", "snr_grid_db"),
+        ("[sweep]\nsnr_grid_db = 0, abc", "snr_grid_db"),
+        ("[sweep]\nm_grid = 0", "m_grid"),
+        ("[sweep]\nm_grid = -3", "m_grid"),
+        ("[fine]\nvariant = th_matched", "variant"),  # removed key
+    ])
+    def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, text, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n")
+        code = main(["sweep", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
     def test_env_seed_override(self, tiny_config, monkeypatch):
         monkeypatch.setenv("UWB_SYNC_SEED", "123456")
         plan = load_plan(tiny_config)
@@ -71,6 +104,58 @@ class TestConfig:
     def test_inf_snr_parses(self, tiny_config):
         plan = load_plan(tiny_config)
         assert math.isinf(plan.snr_grid_db[0])
+
+
+@st.composite
+def frame_configs(draw):
+    """Grid-aligned frame formats: every duration is whole samples."""
+    sample_rate = draw(st.floats(1e8, 1e12))
+    n_frames = draw(st.integers(1, 4))
+    n_chips = draw(st.integers(1, 5))
+    chip, shift, pulse, spare = (draw(st.integers(lo, 5)) for lo in (1, 0, 1, 0))
+    frame = n_chips * chip + shift + pulse + spare
+    code = draw(st.lists(st.integers(0, n_chips - 1),
+                         min_size=n_frames, max_size=n_frames))
+    return FrameConfig(
+        n_frames_per_symbol=n_frames, frame_duration=frame / sample_rate,
+        chip_duration=chip / sample_rate, n_chips=n_chips,
+        ppm_shift=shift / sample_rate, pulse_duration=pulse / sample_rate,
+        pulse_energy=draw(st.floats(0.0, 1e6)), th_code=code,
+        sample_rate=sample_rate)
+
+
+@st.composite
+def resolved_plans(draw):
+    """Valid plans in the form load_plan returns (segment origin explicit)."""
+    frame = draw(frame_configs())
+    t_s = frame.symbol_duration
+    return ExperimentPlan(
+        snr_grid_db=draw(st.lists(st.floats(-60.0, 60.0) | st.just(math.inf),
+                                  min_size=1, max_size=5)),
+        m_grid=draw(st.lists(st.integers(1, 4096), min_size=1, max_size=4)),
+        modes=draw(st.lists(st.sampled_from(["nda", "da"]), min_size=1, max_size=2)),
+        floors=draw(st.lists(st.sampled_from(["coarse_only", "coarse_plus_fine"]),
+                             min_size=1, max_size=2)),
+        trials_per_cell=draw(st.integers(1, 10**6)),
+        base_seed=draw(st.integers(0, 2**64)),
+        frame_cfg=frame,
+        coarse_cfg=CoarseConfig(search_step=t_s / draw(st.integers(1, 64)),
+                                segment_origin=draw(st.floats(0.0, 1e-5))),
+        fine_cfg=FineConfig(t_corr=draw(st.floats(0.0, 1e-5)),
+                            fine_step=draw(st.floats(1e-13, 1e-8)),
+                            n_symbols_avg=draw(st.integers(1, 64))),
+        channel_model=draw(st.sampled_from(["cm1", "single_path"])),
+        channel_max_delay=draw(st.floats(1e-12, 1e-6)),
+    )
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(plan=resolved_plans())
+def test_manifest_reloads_any_plan_exactly(plan, tmp_path, monkeypatch):
+    monkeypatch.delenv("UWB_SYNC_SEED", raising=False)
+    path = tmp_path / "manifest.cfg"
+    path.write_text(plan_to_config_text(plan))
+    assert load_plan(path) == plan
 
 
 class TestSweepCommand:
@@ -125,6 +210,11 @@ class TestDemoCommand:
 
     def test_bad_mode_exits_2(self, tmp_path):
         assert main(["demo", "--mode", "wat", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("snr", ["abc", "nan", "-inf"])
+    def test_bad_snr_exits_2_naming_key(self, tmp_path, capsys, snr):
+        assert main(["demo", f"--snr={snr}", "--out", str(tmp_path)]) == 2
+        assert "snr" in capsys.readouterr().err
 
 
 class TestChannelCommand:

@@ -260,12 +260,6 @@ class TestFineSync:
         tau2, n_opt, z = fine_sync(r, 35e-9, cfg, FineConfig(t_corr=0.0))
         assert n_opt == 0 and tau2 == 35e-9 and len(z) == 1
 
-    def test_symbol_lag_variant_runs(self, cfg):
-        fc = FineConfig(t_corr=2e-9, variant="symbol_lag", n_symbols_avg=4)
-        r = make_received(cfg, list(np.random.default_rng(0).integers(0, 2, 14)), 10e-9)
-        tau2, n_opt, z = fine_sync(r, 10e-9, cfg, fc)
-        assert len(z) == 2 * fc.n_steps - 1
-
 
 class TestTwoFloorSync:
     def test_fine_floor_repairs_coarse_grid(self, cfg):
