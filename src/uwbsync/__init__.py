@@ -43,9 +43,6 @@ from .harness import (
     run_sweep,
     records_to_csv,
 )
-from .defaults import (
-    default_frame_config,
-    default_plan,
-)
+from .defaults import default_frame_config
 
 __version__ = "0.1.0"

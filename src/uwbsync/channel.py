@@ -129,8 +129,8 @@ def generate_cm1(seed, max_delay: float = DEFAULT_MAX_DELAY) -> ChannelRealizati
     profile, with equiprobable polarity.  The result is energy-normalized
     and shifted so its first tap is at delay 0.
     """
-    if max_delay <= 0:
-        raise ConfigError("max_delay must be positive")
+    if not 0 < max_delay < math.inf:
+        raise ConfigError(f"max_delay {max_delay!r} must be positive and finite")
     p = CM1_PARAMS
     sigma_db = math.sqrt(2.0) * p["lognormal_std_db"]  # cluster + ray terms
     rng = np.random.default_rng(seed)

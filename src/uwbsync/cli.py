@@ -10,45 +10,54 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 import time
 from dataclasses import replace
 from decimal import Decimal
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .waveform import ConfigError, FrameConfig, make_th_code
-from .channel import generate_cm1, rms_delay_spread, taps_to_text, snr_ref_samples
+from .waveform import ConfigError, FrameConfig
+from .channel import (DEFAULT_MAX_DELAY, generate_cm1, rms_delay_spread,
+                      taps_to_text, snr_ref_samples)
 from .sync import CoarseConfig, FineConfig
-from .harness import ExperimentPlan, records_to_csv, run_sweep, run_trial, wrapped_error
-from .defaults import DEFAULT_BASE_SEED, DEFAULT_TH_SEED
+from .harness import ExperimentPlan, records_to_csv, run_sweep, wrapped_error
 
 ENV_SEED = "UWB_SYNC_SEED"
 
-_SECTIONS = {
-    "frame": {
-        "n_frames_per_symbol", "frame_duration_ns", "chip_duration_ns",
-        "n_chips", "ppm_shift_ns", "pulse_duration_ns", "pulse_energy",
-        "sample_rate_ghz", "th_code", "th_code_seed",
-    },
-    "channel": {"model", "max_delay_ns"},
-    "coarse": {"search_step_ns", "segment_origin_ns"},
-    "fine": {"t_corr_ns", "fine_step_ns", "n_symbols_avg"},
-    "sweep": {
-        "snr_grid_db", "m_grid", "modes", "floors", "trials_per_cell",
-        "base_seed",
-    },
-    "run_info": None,  # written to manifests; ignored on load
-}
-
-
-def _list_of(conv):
-    """Converter for a comma-separated list of ``conv`` values."""
-    return lambda text: tuple(conv(tok.strip()) for tok in text.split(",")
-                              if tok.strip())
+# The config schema, one row per key: (section, key, plan field, unit).
+# The rows drive parsing, rendering and the unknown-key check.  A dotted
+# field belongs to a nested config; a key a config leaves out takes that
+# field's dataclass default.  A unit ending in " list" is comma-separated.
+_SCHEMA = (
+    ("frame", "n_frames_per_symbol", "frame_cfg.n_frames_per_symbol", "int"),
+    ("frame", "frame_duration_ns", "frame_cfg.frame_duration", "ns"),
+    ("frame", "chip_duration_ns", "frame_cfg.chip_duration", "ns"),
+    ("frame", "n_chips", "frame_cfg.n_chips", "int"),
+    ("frame", "ppm_shift_ns", "frame_cfg.ppm_shift", "ns"),
+    ("frame", "pulse_duration_ns", "frame_cfg.pulse_duration", "ns"),
+    ("frame", "pulse_energy", "frame_cfg.pulse_energy", "float"),
+    ("frame", "sample_rate_ghz", "frame_cfg.sample_rate", "GHz"),
+    ("channel", "model", "channel_model", "str"),
+    ("channel", "max_delay_ns", "channel_max_delay", "ns"),
+    ("coarse", "search_step_ns", "coarse_cfg.search_step", "ns"),
+    ("coarse", "segment_origin_ns", "coarse_cfg.segment_origin", "ns"),
+    ("fine", "t_corr_ns", "fine_cfg.t_corr", "ns"),
+    ("fine", "fine_step_ns", "fine_cfg.fine_step", "ns"),
+    ("fine", "n_symbols_avg", "fine_cfg.n_symbols_avg", "int"),
+    ("sweep", "snr_grid_db", "snr_grid_db", "dB list"),
+    ("sweep", "m_grid", "m_grid", "int list"),
+    ("sweep", "modes", "modes", "str list"),
+    ("sweep", "floors", "floors", "str list"),
+    ("sweep", "trials_per_cell", "trials_per_cell", "int"),
+    ("sweep", "base_seed", "base_seed", "int"),
+)
+_IGNORED_SECTION = "run_info"  # written to manifests; ignored on load
 
 
 def _ns_to_s(token) -> float:
@@ -80,93 +89,85 @@ def _exact_token(value: float, unit_exp: int) -> str:
     return format(Decimal(repr(value)).scaleb(-unit_exp).normalize(), "f")
 
 
-def _ns(value_s: float) -> str:
-    return _exact_token(value_s, -9)
+def _finite(conv):
+    def parse(token):
+        value = conv(token)
+        if not math.isfinite(value):
+            raise ValueError(f"{token!r} is not finite")
+        return value
+    return parse
 
 
-def _get(section, key, conv, default):
-    if key not in section:
-        return default
+_UNITS = {  # unit -> (parse a token, render a value as a token)
+    "int": (int, str),
+    "str": (str, str),
+    "float": (_finite(float), repr),
+    "dB": (float, repr),  # +inf is noiseless; ExperimentPlan rejects nan, -inf
+    "ns": (_finite(_ns_to_s), lambda v: _exact_token(v, -9)),
+    "GHz": (_finite(_ghz_to_hz), lambda v: _exact_token(v, 9)),
+}
+
+
+def _parse(key: str, unit: str, text: str):
+    """Parse one value of ``unit``, naming ``key`` if it is invalid."""
+    conv = _UNITS[unit.removesuffix(" list")][0]
     try:
-        return conv(section[key])
+        if unit.endswith(" list"):
+            return tuple(conv(tok.strip()) for tok in text.split(",") if tok.strip())
+        return conv(text.strip())
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _render(unit: str, value) -> str:
+    render = _UNITS[unit.removesuffix(" list")][1]
+    if unit.endswith(" list"):
+        return ", ".join(render(v) for v in value)
+    return render(value)
+
+
+def _env_seed(default):
+    """The base seed in UWB_SYNC_SEED if it is set, else ``default``."""
+    env = os.environ.get(ENV_SEED)
+    return _parse(ENV_SEED, "int", env) if env else default
 
 
 def load_plan(path) -> ExperimentPlan:
     """Parse and validate a config file into a fully resolved plan.
 
     Unknown sections or keys are configuration errors: a misspelled key
-    should fail loudly, not silently fall back to a default.
+    should fail loudly, not silently fall back to a default.  The frame's
+    hopping code is all zeros; trials draw their own codes.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file {path!r} not found or unreadable")
+    if parser.defaults():
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
+    known = {(section, key) for section, key, _, _ in _SCHEMA}
     for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section [{section}]")
-        allowed = _SECTIONS[section]
-        if allowed is None:
+        if section == _IGNORED_SECTION:
             continue
+        if section not in {s for s, _ in known}:
+            raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in allowed:
+            if (section, key) not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    fr = parser["frame"] if parser.has_section("frame") else {}
-    sample_rate = _get(fr, "sample_rate_ghz", _ghz_to_hz, 50e9)
-    base = FrameConfig(
-        n_frames_per_symbol=_get(fr, "n_frames_per_symbol", int, 32),
-        frame_duration=_get(fr, "frame_duration_ns", _ns_to_s, 35e-9),
-        chip_duration=_get(fr, "chip_duration_ns", _ns_to_s, 1e-9),
-        n_chips=_get(fr, "n_chips", int, 35),
-        ppm_shift=_get(fr, "ppm_shift_ns", _ns_to_s, 1e-9),
-        pulse_duration=_get(fr, "pulse_duration_ns", _ns_to_s, 0.8e-9),
-        pulse_energy=_get(fr, "pulse_energy", float, 1.0),
-        th_code=tuple([0] * _get(fr, "n_frames_per_symbol", int, 32)),
-        sample_rate=sample_rate,
-    )
-    code = _get(fr, "th_code", _list_of(int), None)
-    if code is None:
-        code = make_th_code(_get(fr, "th_code_seed", int, DEFAULT_TH_SEED), base)
-    frame_cfg = base.with_th_code(code)
-
-    chn = parser["channel"] if parser.has_section("channel") else {}
-    model = _get(chn, "model", str, "cm1")
-    max_delay = _get(chn, "max_delay_ns", _ns_to_s, 25e-9)
-
-    co = parser["coarse"] if parser.has_section("coarse") else {}
-    coarse_cfg = CoarseConfig(
-        search_step=_get(co, "search_step_ns", _ns_to_s, 35e-9),
-        segment_origin=(_ns_to_s(co["segment_origin_ns"])
-                        if "segment_origin_ns" in co
-                        else frame_cfg.symbol_duration),
-    )
-    coarse_cfg.grid_size(frame_cfg)
-
-    fi = parser["fine"] if parser.has_section("fine") else {}
-    fine_cfg = FineConfig(
-        t_corr=_get(fi, "t_corr_ns", _ns_to_s, 560e-9),
-        fine_step=_get(fi, "fine_step_ns", _ns_to_s, 0.25e-9),
-        n_symbols_avg=_get(fi, "n_symbols_avg", int, 8),
-    )
-
-    sw = parser["sweep"] if parser.has_section("sweep") else {}
-    base_seed = _get(sw, "base_seed", int, DEFAULT_BASE_SEED)
-    if os.environ.get(ENV_SEED):
-        base_seed = int(os.environ[ENV_SEED])
+    values = {"": {}, "frame_cfg": {}, "coarse_cfg": {}, "fine_cfg": {}}
+    for section, key, field, unit in _SCHEMA:
+        if parser.has_option(section, key):
+            owner, _, name = field.rpartition(".")
+            values[owner][name] = _parse(key, unit, parser.get(section, key))
+    top = values[""]
+    top["base_seed"] = _env_seed(top.get("base_seed", ExperimentPlan.base_seed))
+    frame = values["frame_cfg"]
+    n_frames = frame.get("n_frames_per_symbol", FrameConfig.n_frames_per_symbol)
     return ExperimentPlan(
-        snr_grid_db=_get(sw, "snr_grid_db", _list_of(float), (0.0, 8.0, 16.0)),
-        m_grid=_get(sw, "m_grid", _list_of(int), (8, 32)),
-        modes=_get(sw, "modes", _list_of(str), ("nda", "da")),
-        floors=_get(sw, "floors", _list_of(str), ("coarse_only", "coarse_plus_fine")),
-        trials_per_cell=_get(sw, "trials_per_cell", int, 200),
-        base_seed=base_seed,
-        frame_cfg=frame_cfg,
-        coarse_cfg=coarse_cfg,
-        fine_cfg=fine_cfg,
-        channel_model=model,
-        channel_max_delay=max_delay,
+        frame_cfg=FrameConfig(th_code=(0,) * n_frames, **frame),
+        coarse_cfg=CoarseConfig(**values["coarse_cfg"]),
+        fine_cfg=FineConfig(**values["fine_cfg"]),
+        **top,
     )
 
 
@@ -176,44 +177,19 @@ def plan_to_config_text(plan: ExperimentPlan, run_info: dict | None = None) -> s
     Every float is written as a token that parses back to the same
     double, so loading the manifest reproduces the plan exactly.
     """
-    cfg = plan.frame_cfg
-    lines = [
-        "[frame]",
-        f"n_frames_per_symbol = {cfg.n_frames_per_symbol}",
-        f"frame_duration_ns = {_ns(cfg.frame_duration)}",
-        f"chip_duration_ns = {_ns(cfg.chip_duration)}",
-        f"n_chips = {cfg.n_chips}",
-        f"ppm_shift_ns = {_ns(cfg.ppm_shift)}",
-        f"pulse_duration_ns = {_ns(cfg.pulse_duration)}",
-        f"pulse_energy = {cfg.pulse_energy!r}",
-        f"sample_rate_ghz = {_exact_token(cfg.sample_rate, 9)}",
-        f"th_code = {', '.join(str(c) for c in cfg.th_code)}",
-        "",
-        "[channel]",
-        f"model = {plan.channel_model}",
-        f"max_delay_ns = {_ns(plan.channel_max_delay)}",
-        "",
-        "[coarse]",
-        f"search_step_ns = {_ns(plan.coarse_cfg.search_step)}",
-        f"segment_origin_ns = {_ns(plan.coarse_cfg.origin(cfg))}",
-        "",
-        "[fine]",
-        f"t_corr_ns = {_ns(plan.fine_cfg.t_corr)}",
-        f"fine_step_ns = {_ns(plan.fine_cfg.fine_step)}",
-        f"n_symbols_avg = {plan.fine_cfg.n_symbols_avg}",
-        "",
-        "[sweep]",
-        f"snr_grid_db = {', '.join(repr(s) for s in plan.snr_grid_db)}",
-        f"m_grid = {', '.join(str(m) for m in plan.m_grid)}",
-        f"modes = {', '.join(plan.modes)}",
-        f"floors = {', '.join(plan.floors)}",
-        f"trials_per_cell = {plan.trials_per_cell}",
-        f"base_seed = {plan.base_seed}",
-    ]
+    blocks = []
+    for section, rows in groupby(_SCHEMA, key=lambda row: row[0]):
+        lines = [f"[{section}]"]
+        for _, key, field, unit in rows:
+            value = plan
+            for name in field.split("."):
+                value = getattr(value, name)
+            lines.append(f"{key} = {_render(unit, value)}")
+        blocks.append(lines)
     if run_info:
-        lines += ["", "[run_info]"]
-        lines += [f"{k} = {v}" for k, v in run_info.items()]
-    return "\n".join(lines) + "\n"
+        blocks.append([f"[{_IGNORED_SECTION}]"]
+                      + [f"{k} = {v}" for k, v in run_info.items()])
+    return "\n\n".join("\n".join(lines) for lines in blocks) + "\n"
 
 
 def _snr_definition_line(plan: ExperimentPlan) -> str:
@@ -279,17 +255,15 @@ def _dump_objectives(plan: ExperimentPlan, out_dir: Path) -> None:
 
 def cmd_demo(args) -> int:
     try:
-        if args.config:
-            plan = load_plan(args.config)
-        else:
-            from .defaults import default_plan
-            plan = default_plan()
-        plan = replace(plan, base_seed=int(os.environ.get(ENV_SEED, args.seed)))
+        plan = load_plan(args.config) if args.config else ExperimentPlan()
+        seed = _env_seed(args.seed)  # env > --seed > config
+        if seed is not None:
+            plan = replace(plan, base_seed=seed)
         if args.mode not in ("nda", "da"):
             raise ConfigError(f"mode must be nda or da, got {args.mode!r}")
         if args.m < 1:
             raise ConfigError("m must be >= 1")
-        snr = _get(vars(args), "snr", float, None)
+        snr = _parse("snr", "dB", args.snr)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -327,11 +301,10 @@ def cmd_channel(args) -> int:
         return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    max_delay = args.max_delay_ns * 1e-9
     summary = []
     for i in range(args.count):
         ss = np.random.SeedSequence(entropy=int(args.seed), spawn_key=(i,))
-        ch = generate_cm1(ss, max_delay)
+        ch = generate_cm1(ss, args.max_delay_ns)
         path = out_dir / f"taps_{i:04d}.txt"
         path.write_text(taps_to_text(ch))
         summary.append((i, ch.n_taps, rms_delay_spread(ch) * 1e9))
@@ -368,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--snr", default="inf", help="SNR in dB, or 'inf'")
     p_demo.add_argument("--m", type=int, default=16, help="observation symbols M")
     p_demo.add_argument("--mode", default="da", help="nda or da")
-    p_demo.add_argument("--seed", type=int, default=DEFAULT_BASE_SEED)
+    p_demo.add_argument("--seed", type=int, default=None,
+                        help="base seed (default: the config's)")
     p_demo.add_argument("--config", default=None, help="optional config file")
     p_demo.add_argument("--out", default="out", help="output directory")
     p_demo.set_defaults(func=cmd_demo)
@@ -376,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch = sub.add_parser("channel", help="generate channel tap-list fixtures")
     p_ch.add_argument("--seed", type=int, default=0)
     p_ch.add_argument("--count", type=int, default=1)
-    p_ch.add_argument("--max-delay-ns", type=float, default=25.0)
+    p_ch.add_argument("--max-delay-ns", type=_ns_to_s, default=DEFAULT_MAX_DELAY)
     p_ch.add_argument("--out", default="out/channels", help="output directory")
     p_ch.set_defaults(func=cmd_channel)
     return parser

@@ -49,9 +49,14 @@ CSV_HEADER = "snr_db,m,mode,floor,normalized_mse,std_error,n_trials"
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A full sweep: grids, trial count, seed, and module configs."""
+    """A full sweep: grids, trial count, seed, and module configs.
 
-    snr_grid_db: tuple[float, ...] = (0.0, 8.0, 16.0)
+    These field defaults are the only defaults of the sweep config keys.
+    A plan is resolved on construction: a ``coarse_cfg.segment_origin``
+    of None becomes one symbol duration of ``frame_cfg``.
+    """
+
+    snr_grid_db: tuple[float, ...] = (0.0, 4.0, 8.0, 12.0, 16.0)
     m_grid: tuple[int, ...] = (8, 32)
     modes: tuple[str, ...] = ("nda", "da")
     floors: tuple[str, ...] = ("coarse_only", "coarse_plus_fine")
@@ -70,8 +75,14 @@ class ExperimentPlan:
         object.__setattr__(self, "floors", tuple(self.floors))
         if self.trials_per_cell < 1:
             raise ConfigError("trials_per_cell must be >= 1")
-        if not self.snr_grid_db or not self.m_grid or not self.modes or not self.floors:
-            raise ConfigError("sweep grids must be non-empty")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed: {self.base_seed} must be >= 0")
+        for name in ("snr_grid_db", "m_grid", "modes", "floors"):
+            grid = getattr(self, name)
+            if not grid:
+                raise ConfigError(f"{name}: sweep grid must be non-empty")
+            if len(set(grid)) != len(grid):
+                raise ConfigError(f"{name}: duplicate entries in {grid}")
         for snr in self.snr_grid_db:
             if math.isnan(snr) or snr == -math.inf:
                 raise ConfigError(f"snr_grid_db: {snr!r} is not a finite SNR or inf")
@@ -86,6 +97,13 @@ class ExperimentPlan:
                 raise ConfigError(f"unknown floor {floor!r}")
         if self.channel_model not in CHANNEL_MODELS:
             raise ConfigError(f"unknown channel model {self.channel_model!r}")
+        if not 0 < self.channel_max_delay < math.inf:
+            raise ConfigError(f"max_delay_ns: {self.channel_max_delay!r} s "
+                              "must be positive and finite")
+        if self.coarse_cfg.segment_origin is None:
+            object.__setattr__(self, "coarse_cfg", replace(
+                self.coarse_cfg, segment_origin=self.frame_cfg.symbol_duration))
+        self.coarse_cfg.grid_size(self.frame_cfg)
 
     def groups(self):
         """Deterministic enumeration of (snr, m, mode) trial groups."""

@@ -14,6 +14,7 @@ import pytest
 
 from uwbsync import (
     CoarseConfig,
+    ExperimentPlan,
     FineConfig,
     LinkParams,
     SymbolSequence,
@@ -32,7 +33,7 @@ from uwbsync import (
     wrapped_error,
 )
 from uwbsync.cli import load_plan, main
-from uwbsync.defaults import default_frame_config, default_plan
+from uwbsync.defaults import default_frame_config
 
 TS = 1120e-9
 
@@ -63,7 +64,7 @@ def sweeps():
     cells = {}
     t0 = time.time()
     for k, spec in enumerate(specs):
-        plan = default_plan(trials_per_cell=200, **spec)
+        plan = ExperimentPlan(trials_per_cell=200, **spec)
         plan = replace(plan, base_seed=plan.base_seed + k)
         cells.update(cells_by_key(run_sweep(plan)))
     print(f"\n[acceptance sweeps: {len(cells)} cells in {time.time() - t0:.0f} s]")
@@ -76,7 +77,7 @@ def noiseless_trials():
     offsets; the frame format (and its fixed hopping code) is the
     shipped default."""
     cfg = default_frame_config()
-    plan = default_plan()
+    plan = ExperimentPlan()
     cc = CoarseConfig(n_symbols=16, mode="da")
     fc = plan.fine_cfg
     rng = np.random.default_rng(20260801)
@@ -224,7 +225,7 @@ class TestCriterion07FineFloorNeutralDa:
 
 class TestCriterion08SnrMonotonicity:
     def test_16db_beats_0db_everywhere(self, sweeps):
-        plan = default_plan()
+        plan = ExperimentPlan()
         worst = math.inf
         for m in plan.m_grid:
             for mode in plan.modes:
@@ -261,7 +262,7 @@ class TestCriterion09Determinism:
 class TestCriterion10ScaleInvariance:
     def test_argmax_invariant_to_amplitude(self):
         cfg = default_frame_config()
-        plan = default_plan()
+        plan = ExperimentPlan()
         cc = CoarseConfig(n_symbols=8, mode="nda")
         fc = plan.fine_cfg
         rng = np.random.default_rng(1234)
@@ -289,7 +290,7 @@ class TestCriterion11NullSanity:
         diffs = (grid[:, None] - grid[None, :] + TS / 2) % TS - TS / 2
         oracle = float(np.mean((diffs / TS) ** 2))
 
-        plan = default_plan(snr_grid_db=(-100.0,), m_grid=(8,),
+        plan = ExperimentPlan(snr_grid_db=(-100.0,), m_grid=(8,),
                             modes=("nda",), floors=("coarse_plus_fine",),
                             trials_per_cell=500)
         rec = run_sweep(plan)[0]

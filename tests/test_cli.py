@@ -7,16 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from uwbsync import CoarseConfig, ExperimentPlan, FineConfig, FrameConfig, taps_from_text
+from uwbsync import (CoarseConfig, ExperimentPlan, FineConfig, FrameConfig,
+                     generate_cm1, taps_from_text)
 from uwbsync.cli import load_plan, main, plan_to_config_text
-from uwbsync.defaults import default_plan
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
 TINY_CONFIG = """\
-[frame]
-th_code_seed = 0
-
 [channel]
 model = single_path
 
@@ -50,9 +47,10 @@ def tiny_config(tmp_path):
 
 
 class TestConfig:
-    def test_load_shipped_default(self):
+    def test_load_shipped_default(self, monkeypatch):
+        monkeypatch.delenv("UWB_SYNC_SEED", raising=False)
         plan = load_plan(REPO_CONFIG)
-        assert plan.frame_cfg == default_plan().frame_cfg
+        assert plan == ExperimentPlan()
         assert plan.snr_grid_db == (0.0, 4.0, 8.0, 12.0, 16.0)
         assert plan.trials_per_cell == 200
 
@@ -75,7 +73,7 @@ class TestConfig:
 
     def test_grid_alignment_violation_exits_2(self, tmp_path, capsys):
         path = tmp_path / "offgrid.cfg"
-        path.write_text("[frame]\nchip_duration_ns = 1.00002\nth_code_seed = 0\n")
+        path.write_text("[frame]\nchip_duration_ns = 1.00002\n")
         code = main(["sweep", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
@@ -88,6 +86,21 @@ class TestConfig:
         ("[sweep]\nm_grid = 0", "m_grid"),
         ("[sweep]\nm_grid = -3", "m_grid"),
         ("[fine]\nvariant = th_matched", "variant"),  # removed key
+        ("[frame]\nth_code_seed = 0", "th_code_seed"),  # removed key
+        ("[frame]\nth_code = 0, 1", "th_code"),  # removed key
+        ("[frame]\npulse_energy = nan", "pulse_energy"),
+        ("[frame]\npulse_energy = 1e400", "pulse_energy"),
+        ("[channel]\nmax_delay_ns = -5", "max_delay_ns"),
+        ("[channel]\nmax_delay_ns = 0", "max_delay_ns"),
+        ("[channel]\nmax_delay_ns = 1e400", "max_delay_ns"),
+        ("[fine]\nt_corr_ns = 1e400", "t_corr_ns"),
+        ("[sweep]\nsnr_grid_db = 0, 8, 0", "snr_grid_db"),
+        ("[sweep]\nm_grid = 8, 8", "m_grid"),
+        ("[sweep]\nmodes = da, da", "modes"),
+        ("[sweep]\nfloors = coarse_only, coarse_only", "floors"),
+        ("[sweep]\nm_grid =", "m_grid"),
+        ("[sweep]\nbase_seed = -1", "base_seed"),
+        ("[DEFAULT]\nm_gird = 8", "DEFAULT"),
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, text, key):
         path = tmp_path / "bad.cfg"
@@ -114,13 +127,11 @@ def frame_configs(draw):
     n_chips = draw(st.integers(1, 5))
     chip, shift, pulse, spare = (draw(st.integers(lo, 5)) for lo in (1, 0, 1, 0))
     frame = n_chips * chip + shift + pulse + spare
-    code = draw(st.lists(st.integers(0, n_chips - 1),
-                         min_size=n_frames, max_size=n_frames))
     return FrameConfig(
         n_frames_per_symbol=n_frames, frame_duration=frame / sample_rate,
         chip_duration=chip / sample_rate, n_chips=n_chips,
         ppm_shift=shift / sample_rate, pulse_duration=pulse / sample_rate,
-        pulse_energy=draw(st.floats(0.0, 1e6)), th_code=code,
+        pulse_energy=draw(st.floats(0.0, 1e6)), th_code=[0] * n_frames,
         sample_rate=sample_rate)
 
 
@@ -131,11 +142,13 @@ def resolved_plans(draw):
     t_s = frame.symbol_duration
     return ExperimentPlan(
         snr_grid_db=draw(st.lists(st.floats(-60.0, 60.0) | st.just(math.inf),
-                                  min_size=1, max_size=5)),
-        m_grid=draw(st.lists(st.integers(1, 4096), min_size=1, max_size=4)),
-        modes=draw(st.lists(st.sampled_from(["nda", "da"]), min_size=1, max_size=2)),
+                                  min_size=1, max_size=5, unique=True)),
+        m_grid=draw(st.lists(st.integers(1, 4096), min_size=1, max_size=4,
+                             unique=True)),
+        modes=draw(st.lists(st.sampled_from(["nda", "da"]), min_size=1, max_size=2,
+                            unique=True)),
         floors=draw(st.lists(st.sampled_from(["coarse_only", "coarse_plus_fine"]),
-                             min_size=1, max_size=2)),
+                             min_size=1, max_size=2, unique=True)),
         trials_per_cell=draw(st.integers(1, 10**6)),
         base_seed=draw(st.integers(0, 2**64)),
         frame_cfg=frame,
@@ -198,6 +211,17 @@ class TestDemoCommand:
         assert (tmp_path / "demo_objective_coarse.txt").exists()
         assert (tmp_path / "demo_objective_fine.txt").exists()
 
+    def test_config_base_seed_is_not_overridden(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("UWB_SYNC_SEED", raising=False)
+        cfg_path = tmp_path / "seed1.cfg"
+        cfg_path.write_text("[sweep]\nbase_seed = 1\n")
+        outputs = []
+        for flags in (["--config", str(cfg_path)], ["--seed", "1"]):
+            assert main(["demo", "--m", "1", "--out", str(tmp_path)] + flags) == 0
+            outputs.append([l for l in capsys.readouterr().out.splitlines()
+                            if l.startswith("true offset")])
+        assert outputs[0] == outputs[1] != []
+
     def test_degenerate_single_symbol_m(self, tmp_path):
         code = main(["demo", "--snr", "10", "--m", "1", "--mode", "nda",
                      "--seed", "2", "--out", str(tmp_path)])
@@ -228,6 +252,16 @@ class TestChannelCommand:
         g = np.asarray(ch.gains)
         assert abs(float(g @ g) - 1.0) <= 1e-9
         assert (out / "summary.txt").exists()
+
+    def test_default_max_delay_matches_sweeps(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recording(seed, max_delay):
+            seen.append(max_delay)
+            return generate_cm1(seed, max_delay)
+        monkeypatch.setattr("uwbsync.cli.generate_cm1", recording)
+        assert main(["channel", "--out", str(tmp_path)]) == 0
+        assert seen == [25e-9]
 
     def test_count_zero_writes_nothing(self, tmp_path):
         out = tmp_path / "empty"

@@ -13,7 +13,6 @@ from uwbsync import (
     run_trial,
     wrapped_error,
 )
-from uwbsync.defaults import default_plan
 
 TS = 1120e-9
 
@@ -42,19 +41,19 @@ class TestWrappedError:
 
 class TestRunTrial:
     def test_noiseless_da_recovers_offset(self):
-        plan = default_plan(channel_model="single_path")
+        plan = ExperimentPlan(channel_model="single_path")
         res = run_trial(plan, math.inf, 16, "da", 0, 0)
         e = wrapped_error(res.tau_hat_fine, res.delta_tau_true, TS)
         assert abs(e) <= plan.fine_cfg.fine_step
 
     def test_deterministic(self):
-        plan = default_plan()
+        plan = ExperimentPlan()
         a = run_trial(plan, 12.0, 8, "nda", 3, 1)
         b = run_trial(plan, 12.0, 8, "nda", 3, 1)
         assert a == b
 
     def test_trials_draw_independent_randomness(self):
-        plan = default_plan()
+        plan = ExperimentPlan()
         a = run_trial(plan, math.inf, 8, "nda", 0, 0)
         b = run_trial(plan, math.inf, 8, "nda", 1, 0)
         assert a.delta_tau_true != b.delta_tau_true
@@ -62,7 +61,7 @@ class TestRunTrial:
 
 class TestRunSweep:
     def test_single_trial_cell_equals_trial_error(self):
-        plan = default_plan(
+        plan = ExperimentPlan(
             snr_grid_db=(math.inf,), m_grid=(8,), modes=("da",),
             floors=("coarse_only", "coarse_plus_fine"), trials_per_cell=1,
             channel_model="single_path",
@@ -77,7 +76,7 @@ class TestRunSweep:
         assert records[0].n_trials == 1
 
     def test_record_order_and_cardinality(self):
-        plan = default_plan(
+        plan = ExperimentPlan(
             snr_grid_db=(0.0, 16.0), m_grid=(8,), modes=("nda", "da"),
             trials_per_cell=1,
         )
@@ -92,7 +91,7 @@ class TestRunSweep:
         ]
 
     def test_reproducible_across_worker_counts(self):
-        plan = default_plan(
+        plan = ExperimentPlan(
             snr_grid_db=(10.0,), m_grid=(8,), modes=("nda", "da"),
             trials_per_cell=4,
         )
@@ -101,7 +100,7 @@ class TestRunSweep:
         assert serial == parallel
 
     def test_mse_within_wrapped_bound(self):
-        plan = default_plan(snr_grid_db=(-100.0,), m_grid=(8,),
+        plan = ExperimentPlan(snr_grid_db=(-100.0,), m_grid=(8,),
                             modes=("nda",), trials_per_cell=8)
         for rec in run_sweep(plan):
             assert 0.0 <= rec.normalized_mse <= 0.25

@@ -317,8 +317,8 @@ class TestModeContrast:
     def test_da_median_error_not_worse_than_nda(self, cfg):
         # Training symbols help: at a mid SNR and short observation, the
         # DA coarse floor's median squared error stays at or below NDA's.
-        from uwbsync import default_plan, run_trial
-        plan = default_plan()
+        from uwbsync import ExperimentPlan, run_trial
+        plan = ExperimentPlan()
         t_s = cfg.symbol_duration
         sq = {"nda": [], "da": []}
         for mode, gi in (("nda", 0), ("da", 1)):
