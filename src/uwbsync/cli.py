@@ -58,6 +58,9 @@ _SCHEMA = (
     ("sweep", "base_seed", "base_seed", "int"),
 )
 _IGNORED_SECTION = "run_info"  # written to manifests; ignored on load
+# Field names are unique across the plan and its nested configs, so the
+# field a config dataclass rejects (ConfigError.field) finds its key.
+_KEY_OF_FIELD = {field.rpartition(".")[2]: key for _, key, field, _ in _SCHEMA}
 
 
 def _ns_to_s(token) -> float:
@@ -126,6 +129,15 @@ def _render(unit: str, value) -> str:
     return render(value)
 
 
+def _ns_arg(token: str) -> float:
+    """argparse type for a duration flag: a finite number of ns, in seconds."""
+    try:
+        return _finite(_ns_to_s)(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of ns, got {token!r}") from None
+
+
 def _env_seed(default):
     """The base seed in UWB_SYNC_SEED if it is set, else ``default``."""
     env = os.environ.get(ENV_SEED)
@@ -163,12 +175,18 @@ def load_plan(path) -> ExperimentPlan:
     top["base_seed"] = _env_seed(top.get("base_seed", ExperimentPlan.base_seed))
     frame = values["frame_cfg"]
     n_frames = frame.get("n_frames_per_symbol", FrameConfig.n_frames_per_symbol)
-    return ExperimentPlan(
-        frame_cfg=FrameConfig(th_code=(0,) * n_frames, **frame),
-        coarse_cfg=CoarseConfig(**values["coarse_cfg"]),
-        fine_cfg=FineConfig(**values["fine_cfg"]),
-        **top,
-    )
+    try:
+        return ExperimentPlan(
+            frame_cfg=FrameConfig(th_code=(0,) * n_frames, **frame),
+            coarse_cfg=CoarseConfig(**values["coarse_cfg"]),
+            fine_cfg=FineConfig(**values["fine_cfg"]),
+            **top,
+        )
+    except ConfigError as exc:
+        key = _KEY_OF_FIELD.get(exc.field)
+        if key is None:
+            raise
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def plan_to_config_text(plan: ExperimentPlan, run_info: dict | None = None) -> str:
@@ -350,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch = sub.add_parser("channel", help="generate channel tap-list fixtures")
     p_ch.add_argument("--seed", type=int, default=0)
     p_ch.add_argument("--count", type=int, default=1)
-    p_ch.add_argument("--max-delay-ns", type=_ns_to_s, default=DEFAULT_MAX_DELAY)
+    p_ch.add_argument("--max-delay-ns", type=_ns_arg, default=DEFAULT_MAX_DELAY)
     p_ch.add_argument("--out", default="out/channels", help="output directory")
     p_ch.set_defaults(func=cmd_channel)
     return parser

@@ -253,7 +253,8 @@ def run_sweep(plan: ExperimentPlan, n_workers: int = 1) -> list[MseRecord]:
     if n_workers <= 1 or len(tasks) == 1:
         results = {gi: trials for gi, trials in map(_group_task, tasks)}
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # A fork pool starts all its workers at once; at most one per group.
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(tasks))) as pool:
             results = {gi: trials for gi, trials in pool.map(_group_task, tasks)}
 
     t_s = plan.frame_cfg.symbol_duration

@@ -55,7 +55,7 @@ class CoarseConfig:
         if self.mode not in COARSE_MODES:
             raise ConfigError(f"mode {self.mode!r} not in {COARSE_MODES}")
         if self.search_step <= 0:
-            raise ConfigError("search_step must be positive")
+            raise ConfigError("search_step must be positive", field="search_step")
 
     def grid_size(self, cfg: FrameConfig) -> int:
         t_s = cfg.symbol_duration
@@ -63,7 +63,7 @@ class CoarseConfig:
         if self.search_step > t_s or abs(ratio - round(ratio)) > 1e-6:
             raise ConfigError(
                 f"search_step {self.search_step!r} must divide the symbol "
-                f"duration {t_s!r}"
+                f"duration {t_s!r}", field="search_step"
             )
         return int(round(ratio))
 
@@ -81,11 +81,11 @@ class FineConfig:
 
     def __post_init__(self):
         if self.fine_step <= 0:
-            raise ConfigError("fine_step must be positive")
+            raise ConfigError("fine_step must be positive", field="fine_step")
         if self.t_corr < 0:
-            raise ConfigError("t_corr must be non-negative")
+            raise ConfigError("t_corr must be non-negative", field="t_corr")
         if self.n_symbols_avg < 1:
-            raise ConfigError("n_symbols_avg must be >= 1")
+            raise ConfigError("n_symbols_avg must be >= 1", field="n_symbols_avg")
 
     @property
     def n_steps(self) -> int:
@@ -195,14 +195,15 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig,
 
     # All (segment, tau) correlations come from one lagged product array:
     # g[i] = r[i + n_s] * (r[i + n_d] - r[i - n_d]); a segment correlation
-    # is a window sum of g, so a prefix sum serves every candidate.
-    g = np.zeros(len(x) - n_s)
-    core = slice(n_d, len(g))
-    g[core] = x[n_s + n_d:] * (x[2 * n_d:len(g) + n_d] - x[:len(g) - n_d])
-    csum = np.concatenate(([0.0], np.cumsum(g)))
-
+    # is a window sum of g, so a prefix sum serves every candidate.  g and
+    # its prefix sum stop at the last window end any candidate reads; a
+    # cumulative sum is sequential, so its leading values do not change.
     taus = np.arange(n_grid) * step_samples
     starts = origin_idx + taus[:, None] + np.arange(m)[None, :] * n_s
+    end = int(starts.max()) + n_s
+    g = np.zeros(end)
+    g[n_d:] = x[n_s + n_d:n_s + end] * (x[2 * n_d:end + n_d] - x[:end - n_d])
+    csum = np.concatenate(([0.0], np.cumsum(g)))
     corr = (csum[starts + n_s] - csum[starts]) / fs
 
     if cc.mode == "nda":
@@ -214,19 +215,6 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig,
     best = int(np.argmax(objective))  # first max == smallest tau on ties
     tau1 = best * cc.search_step
     return tau1, objective
-
-
-def _fine_candidate_order(offsets: np.ndarray) -> np.ndarray:
-    """Tie order for the fine argmax: smallest |n| first, negative first."""
-    return np.lexsort((offsets, np.abs(offsets)))
-
-
-def _argmax_with_tie_order(values: np.ndarray, order: np.ndarray) -> int:
-    best = order[0]
-    for idx in order[1:]:
-        if values[idx] > values[best]:
-            best = idx
-    return int(best)
 
 
 def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
@@ -256,24 +244,28 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     lag = 2 * n_s
     window = cfg.n_pulse_samples + cfg.n_shift_samples
     frame_pos = cfg.frame_start_samples()
-    prod = x[:len(x) - lag] * x[lag:]
-    csum = np.concatenate(([0.0], np.cumsum(prod)))
-    starts = (base + off_samples[:, None, None]
-              + (np.arange(k_avg) * n_s)[None, :, None]
-              + frame_pos[None, None, :])
-    lo = int(starts.min())
-    hi = int(starts.max()) + window
-    if lo < 0 or hi > len(csum) - 1:
+    # Window starts relative to a candidate's origin, (symbol, frame) order.
+    pos = ((np.arange(k_avg) * n_s)[:, None] + frame_pos[None, :]).ravel()
+    lo = base + int(off_samples.min()) + int(pos.min())
+    hi = base + int(off_samples.max()) + int(pos.max()) + window
+    if lo < 0 or hi > len(x) - lag:
         raise ValueError(
             f"fine scan needs samples [{lo}, {hi}) beyond the record "
-            f"({len(prod)} lagged products); extend the record"
+            f"({len(x) - lag} lagged products); extend the record"
         )
-    sums = csum[starts + window] - csum[starts]
+    # Lagged products and their prefix sum up to the last window end read;
+    # w[j] is the sum of the window starting at j.
+    prod = x[:hi] * x[lag:lag + hi]
+    csum = np.concatenate(([0.0], np.cumsum(prod)))
+    w = csum[window:] - csum[:-window]
+    sums = w[(base + off_samples)[:, None] + pos[None, :]].reshape(
+        len(offsets), k_avg, len(frame_pos))
     z = np.sum(np.abs(np.sum(sums, axis=2)), axis=1) / fs
 
-    order = _fine_candidate_order(offsets)
-    best = _argmax_with_tie_order(z, order)
-    n_opt = int(offsets[best])
+    # Tie order: smallest |n| first, negative first.  np.argmax keeps the
+    # first maximum of z taken in that order.
+    order = np.lexsort((offsets, np.abs(offsets)))
+    n_opt = int(offsets[order[np.argmax(z[order])]])
     tau2 = tau1 + n_opt * fc.fine_step
     return tau2, n_opt, z
 

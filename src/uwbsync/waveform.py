@@ -36,7 +36,14 @@ _GRID_TOL = 1e-6
 
 
 class ConfigError(ValueError):
-    """A configuration value violates a constraint of the signal format."""
+    """A configuration value violates a constraint of the signal format.
+
+    ``field`` names the config dataclass field at fault, when there is one.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 def _on_grid(value_s: float, sample_rate: float, name: str) -> int:
@@ -45,7 +52,7 @@ def _on_grid(value_s: float, sample_rate: float, name: str) -> int:
     if ticks < 0 or abs(ticks - round(ticks)) > _GRID_TOL:
         raise ConfigError(
             f"{name} = {value_s!r} s is not a non-negative integer number of "
-            f"samples at sample_rate = {sample_rate!r} Hz"
+            f"samples at sample_rate = {sample_rate!r} Hz", field=name
         )
     return int(round(ticks))
 
@@ -72,17 +79,18 @@ class FrameConfig:
     def __post_init__(self):
         object.__setattr__(self, "th_code", tuple(int(c) for c in self.th_code))
         if self.n_frames_per_symbol < 1:
-            raise ConfigError("n_frames_per_symbol must be >= 1")
+            raise ConfigError("n_frames_per_symbol must be >= 1",
+                              field="n_frames_per_symbol")
         if self.n_chips < 1:
-            raise ConfigError("n_chips must be >= 1")
+            raise ConfigError("n_chips must be >= 1", field="n_chips")
         for name in ("frame_duration", "chip_duration", "ppm_shift",
                      "pulse_duration", "sample_rate"):
             if getattr(self, name) <= 0 and name != "ppm_shift":
-                raise ConfigError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive", field=name)
         if self.ppm_shift < 0:
-            raise ConfigError("ppm_shift must be non-negative")
+            raise ConfigError("ppm_shift must be non-negative", field="ppm_shift")
         if self.pulse_energy < 0:
-            raise ConfigError("pulse_energy must be non-negative")
+            raise ConfigError("pulse_energy must be non-negative", field="pulse_energy")
         # Grid alignment: chip, frame, PPM shift and pulse duration must be
         # whole numbers of samples so that shifts are sample-exact.
         self.n_chip_samples
@@ -104,7 +112,7 @@ class FrameConfig:
                 raise ConfigError(
                     f"th_code[{i}] = {c}: pulse would leak out of its frame "
                     f"({leak * 1e9:.3f} ns > frame_duration "
-                    f"{self.frame_duration * 1e9:.3f} ns)"
+                    f"{self.frame_duration * 1e9:.3f} ns)", field="frame_duration"
                 )
 
     @property

@@ -101,6 +101,13 @@ class TestConfig:
         ("[sweep]\nm_grid =", "m_grid"),
         ("[sweep]\nbase_seed = -1", "base_seed"),
         ("[DEFAULT]\nm_gird = 8", "DEFAULT"),
+        ("[frame]\nframe_duration_ns = -35", "frame_duration_ns"),
+        ("[frame]\nframe_duration_ns = 1.5", "frame_duration_ns"),  # pulse leaks out
+        ("[frame]\nsample_rate_ghz = 0", "sample_rate_ghz"),
+        ("[coarse]\nsearch_step_ns = 0", "search_step_ns"),
+        ("[coarse]\nsearch_step_ns = 33", "search_step_ns"),  # does not divide T_s
+        ("[fine]\nfine_step_ns = -1", "fine_step_ns"),
+        ("[fine]\nn_symbols_avg = 0", "n_symbols_avg"),
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, text, key):
         path = tmp_path / "bad.cfg"
@@ -262,6 +269,15 @@ class TestChannelCommand:
         monkeypatch.setattr("uwbsync.cli.generate_cm1", recording)
         assert main(["channel", "--out", str(tmp_path)]) == 0
         assert seen == [25e-9]
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "1e400"])
+    def test_bad_max_delay_asks_for_ns(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["channel", f"--max-delay-ns={value}", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-delay-ns: expected a finite number of ns" in err
+        assert "_ns_to_s" not in err
 
     def test_count_zero_writes_nothing(self, tmp_path):
         out = tmp_path / "empty"

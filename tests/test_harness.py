@@ -99,6 +99,31 @@ class TestRunSweep:
         parallel = records_to_csv(run_sweep(plan, n_workers=2))
         assert serial == parallel
 
+    def test_pool_starts_at_most_one_worker_per_group(self, monkeypatch):
+        started = []
+
+        class InlinePool:
+            """Records the pool size and runs the tasks in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("uwbsync.harness.ProcessPoolExecutor", InlinePool)
+        plan = ExperimentPlan(snr_grid_db=(10.0,), m_grid=(8,), modes=("nda", "da"),
+                              trials_per_cell=1, channel_model="single_path")
+        pooled = records_to_csv(run_sweep(plan, n_workers=500))
+        assert started == [2]
+        assert pooled == records_to_csv(run_sweep(plan, n_workers=1))
+
     def test_mse_within_wrapped_bound(self):
         plan = ExperimentPlan(snr_grid_db=(-100.0,), m_grid=(8,),
                             modes=("nda",), trials_per_cell=8)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwbsync import (
     CoarseConfig,
@@ -39,6 +40,27 @@ def make_received(cfg, bits, delta_tau, snr_db=math.inf, noise_seed=0):
 
 def da_bits(n):
     return [training_pattern(k) for k in range(n)]
+
+
+def fine_objective_loop(r, tau1, cfg, fc):
+    """The fine objective from direct window sums, one candidate at a time."""
+    n_s = cfg.n_symbol_samples
+    lag = 2 * n_s
+    w = cfg.n_pulse_samples + cfg.n_shift_samples
+    base = int(round((tau1 + cfg.symbol_duration) * FS))
+    frame_pos = cfg.frame_start_samples()
+    oracle = []
+    for n in range(-fc.n_steps + 1, fc.n_steps):
+        off = int(round(n * fc.fine_step * FS))
+        total = 0.0
+        for k in range(fc.n_symbols_avg):
+            acc = 0.0
+            for p in frame_pos:
+                s = base + off + k * n_s + int(p)
+                acc += float(np.sum(r.samples[s:s + w] * r.samples[s + lag:s + lag + w]))
+            total += abs(acc)
+        oracle.append(total / FS)
+    return np.asarray(oracle)
 
 
 class TestTrainingPattern:
@@ -228,37 +250,117 @@ class TestFineSync:
         r = make_received(cfg, da_bits(12), delta_tau, snr_db=20.0, noise_seed=3)
         tau1 = 63e-9
         tau2, n_opt, z = fine_sync(r, tau1, cfg, fc)
-        n_s = cfg.n_symbol_samples
-        lag = 2 * n_s
-        w = cfg.n_pulse_samples + cfg.n_shift_samples
-        base = int(round((tau1 + cfg.symbol_duration) * FS))
-        frame_pos = cfg.frame_start_samples()
-        oracle = []
-        for n in range(-fc.n_steps + 1, fc.n_steps):
-            off = int(round(n * fc.fine_step * FS))
-            total = 0.0
-            for k in range(fc.n_symbols_avg):
-                acc = 0.0
-                for p in frame_pos:
-                    s = base + off + k * n_s + int(p)
-                    acc += float(np.sum(r.samples[s:s + w] * r.samples[s + lag:s + lag + w]))
-                total += abs(acc)
-            oracle.append(total / FS)
-        oracle = np.asarray(oracle)
+        oracle = fine_objective_loop(r, tau1, cfg, fc)
         assert np.allclose(z, oracle, rtol=1e-9)
         assert n_opt == int(np.argmax(oracle)) - (fc.n_steps - 1)
 
+    def test_small_config_matches_window_sum_loop(self, cfg):
+        # At 0 dB every window sum is far from zero, so the prefix-sum
+        # differences agree with the direct sums to 1e-12 relative.
+        fc = FineConfig(t_corr=2e-9, fine_step=0.5e-9, n_symbols_avg=2)
+        r = make_received(cfg, da_bits(12), 63.5e-9, snr_db=0.0, noise_seed=3)
+        _, _, z = fine_sync(r, 63e-9, cfg, fc)
+        oracle = fine_objective_loop(r, 63e-9, cfg, fc)
+        np.testing.assert_allclose(z, oracle, rtol=1e-12, atol=0.0)
+
     def test_zero_waveform_ties_to_zero_step(self, cfg):
         r = SampledWaveform(np.zeros(16 * cfg.n_symbol_samples), FS)
-        tau2, n_opt, z = fine_sync(r, 30e-9, cfg, FineConfig(t_corr=4e-9))
-        assert np.all(z == 0.0)
-        assert n_opt == 0
-        assert tau2 == 30e-9
+        for fc in (FineConfig(t_corr=4e-9), FineConfig()):
+            tau2, n_opt, z = fine_sync(r, 30e-9, cfg, fc)
+            assert len(z) == 2 * fc.n_steps - 1
+            assert np.all(z == 0.0)
+            assert n_opt == 0
+            assert tau2 == 30e-9
+
+    def test_symmetric_tie_picks_negative_step(self, cfg):
+        # Two unit lagged products, one just inside the windows of steps
+        # -1..-8 only and one just inside those of steps +1..+8 only: the
+        # objective ties at +-1, and the tie goes to the negative step.
+        fc = FineConfig(t_corr=4e-9)
+        tau1 = 30e-9
+        lag = 2 * cfg.n_symbol_samples
+        w = cfg.n_pulse_samples + cfg.n_shift_samples
+        start = (int(round((tau1 + cfg.symbol_duration) * FS))
+                 + int(cfg.frame_start_samples()[0]))
+        x = np.zeros(16 * cfg.n_symbol_samples)
+        for i in (start - 12, start + 12 + w - 1):  # steps +-1 move 12 samples
+            x[i] = x[i + lag] = 1.0
+        _, n_opt, z = fine_sync(SampledWaveform(x, FS), tau1, cfg, fc)
+        mid = fc.n_steps - 1
+        assert z[mid] == 0.0
+        assert z[mid - 1] == z[mid + 1] == z.max() > 0.0
+        assert n_opt == -1
 
     def test_zero_scan_width_is_identity(self, cfg):
         r = make_received(cfg, da_bits(14), 40e-9)
         tau2, n_opt, z = fine_sync(r, 35e-9, cfg, FineConfig(t_corr=0.0))
         assert n_opt == 0 and tau2 == 35e-9 and len(z) == 1
+
+
+# A small scan that still reads several symbols past the coarse window.
+SHORT_FINE = FineConfig(t_corr=4e-9, n_symbols_avg=2)
+
+
+def coarse_min_samples(cfg, cc):
+    """Shortest record coarse_sync accepts: the last window plus guards."""
+    n_s = cfg.n_symbol_samples
+    step = n_s // cc.grid_size(cfg)
+    origin = int(round(cc.origin(cfg) * FS))
+    return (origin + (cc.n_symbols + 1) * n_s + (cc.grid_size(cfg) - 1) * step
+            + cfg.n_shift_samples)
+
+
+def fine_min_samples(cfg, fc, tau1):
+    """Shortest record fine_sync accepts: its last window, two symbols on."""
+    n_s = cfg.n_symbol_samples
+    base = int(round((tau1 + cfg.symbol_duration) * FS))
+    last_off = int(np.round((fc.n_steps - 1) * fc.fine_step * FS))
+    return (base + last_off + (fc.n_symbols_avg - 1) * n_s
+            + int(cfg.frame_start_samples().max())
+            + cfg.n_pulse_samples + cfg.n_shift_samples + 2 * n_s)
+
+
+class TestReadExtent:
+    """Each floor reads no sample past its own shortest accepted record."""
+
+    @pytest.fixture(scope="class")
+    def record(self, cfg):
+        return make_received(cfg, da_bits(10), 417e-9, snr_db=6.0, noise_seed=8)
+
+    def test_one_sample_short_raises(self, cfg, record):
+        cc = CoarseConfig(n_symbols=2)
+        n = coarse_min_samples(cfg, cc)
+        coarse_sync(SampledWaveform(record.samples[:n], FS), cfg, cc)
+        with pytest.raises(ValueError, match="too short"):
+            coarse_sync(SampledWaveform(record.samples[:n - 1], FS), cfg, cc)
+        tau1 = 31 * cc.search_step
+        n = fine_min_samples(cfg, SHORT_FINE, tau1)
+        fine_sync(SampledWaveform(record.samples[:n], FS), tau1, cfg, SHORT_FINE)
+        with pytest.raises(ValueError, match="beyond the record"):
+            fine_sync(SampledWaveform(record.samples[:n - 1], FS), tau1, cfg,
+                      SHORT_FINE)
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(1, 3), cell=st.integers(0, 31),
+           tail=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=40))
+    def test_samples_past_the_last_read_change_nothing(self, cfg, record, m,
+                                                       cell, tail):
+        # The invariant that lets both floors stop their prefix sums early.
+        def cut(n, extra=()):
+            return SampledWaveform(np.concatenate((record.samples[:n], extra)), FS)
+
+        cc = CoarseConfig(n_symbols=m, mode="nda" if m % 2 else "da")
+        n = coarse_min_samples(cfg, cc)
+        tau1, obj = coarse_sync(cut(n), cfg, cc)
+        tau1_x, obj_x = coarse_sync(cut(n, tail), cfg, cc)
+        assert tau1_x == tau1 and obj_x.tobytes() == obj.tobytes()
+
+        tau1 = cell * cc.search_step
+        n = fine_min_samples(cfg, SHORT_FINE, tau1)
+        tau2, n_opt, z = fine_sync(cut(n), tau1, cfg, SHORT_FINE)
+        tau2_x, n_opt_x, z_x = fine_sync(cut(n, tail), tau1, cfg, SHORT_FINE)
+        assert (tau2_x, n_opt_x) == (tau2, n_opt) and z_x.tobytes() == z.tobytes()
 
 
 class TestTwoFloorSync:
