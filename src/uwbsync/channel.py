@@ -19,6 +19,7 @@ from .waveform import (
     SampledWaveform,
     SymbolSequence,
     generate_tx,
+    place_symbols,
 )
 
 __all__ = [
@@ -219,8 +220,8 @@ def aggregate_template(ch: ChannelRealization, cfg: FrameConfig) -> SampledWavef
 
     This is the one-symbol pulse train convolved with the channel taps,
     carrying the sqrt(pulse_energy) scale, over [0, symbol_duration +
-    channel excess delay].  Used by tests and energy bookkeeping only;
-    the estimators never see it.
+    channel excess delay].  :func:`propagate` builds every record and
+    its noise level from it; the estimators never see it.
     """
     tx1 = generate_tx(SymbolSequence.fixed([0]), cfg)
     return SampledWaveform(_apply_taps(tx1.samples, ch, cfg.sample_rate),
@@ -250,15 +251,22 @@ def partial_energies(p_r: SampledWaveform, tau: float,
     return eps_a, eps_b, eps_r
 
 
-def propagate(tx: SampledWaveform, ch: ChannelRealization, link: LinkParams,
+def propagate(bits: SymbolSequence, ch: ChannelRealization, link: LinkParams,
               cfg: FrameConfig) -> SampledWaveform:
-    """Apply the multipath channel, the timing offset, and AWGN.
+    """Transmit a bit sequence through the channel, the offset and AWGN.
 
-    The output window is [0, (K+1) * symbol_duration] for a K-symbol
-    input, so adjacent symbol-long segment pairs exist at any candidate
-    offset in [0, T_s).  Tap delays and the timing offset are rounded to
-    the sample grid.
+    The noiseless record is the received one-symbol template
+    (:func:`aggregate_template`) overlap-added once per bit, delayed by
+    the timing offset; the same template sets the noise level.  The
+    output window is [0, (K+1) * symbol_duration] for K bits, so adjacent
+    symbol-long segment pairs exist at any candidate offset in [0, T_s).
+    Tap delays and the timing offset are rounded to the sample grid.
     """
+    if not isinstance(bits, SymbolSequence):
+        raise TypeError(
+            f"propagate takes the data bits as a SymbolSequence, not "
+            f"{type(bits).__name__}"
+        )
     t_s = cfg.symbol_duration
     if not 0 <= link.timing_offset < t_s:
         raise ValueError(
@@ -266,21 +274,19 @@ def propagate(tx: SampledWaveform, ch: ChannelRealization, link: LinkParams,
         )
     fs = cfg.sample_rate
     n_sym = cfg.n_symbol_samples
-    k_symbols = len(tx.samples) // n_sym
-    out = np.zeros((k_symbols + 1) * n_sym)
-
-    sig = _apply_taps(tx.samples, ch, fs)
     n_off = int(round(link.timing_offset * fs))
-    end = min(len(out), n_off + len(sig))
-    out[n_off:end] += sig[:end - n_off]
+    template = aggregate_template(ch, cfg).samples
+    out = place_symbols(bits, template, cfg, (len(bits) + 1) * n_sym, n_off)
 
     if link.snr_db != math.inf:
-        template = aggregate_template(ch, cfg)
-        n_s = min(n_sym, len(template.samples))
-        e_sum = float(np.dot(template.samples[:n_s], template.samples[:n_s]))
+        e_sum = float(np.dot(template[:n_sym], template[:n_sym]))
         sigma = noise_std(e_sum, link.snr_db, snr_ref_samples(cfg))
-        rng = np.random.default_rng(link.noise_seed)
-        out += rng.normal(0.0, sigma, size=len(out))
+        # normal(0, sigma) draws 0.0 + sigma * z, so this is the same noise
+        # without a second record-sized array.
+        noisy = np.random.default_rng(link.noise_seed).standard_normal(len(out))
+        noisy *= sigma
+        noisy += out
+        out = noisy
     return SampledWaveform(out, fs, 0.0)
 
 

@@ -26,7 +26,8 @@ from .waveform import ConfigError, FrameConfig
 from .channel import (DEFAULT_MAX_DELAY, generate_cm1, rms_delay_spread,
                       taps_to_text, snr_ref_samples)
 from .sync import CoarseConfig, FineConfig
-from .harness import ExperimentPlan, records_to_csv, run_sweep, wrapped_error
+from .harness import (ExperimentPlan, records_to_csv, run_sweep, sweep_workers,
+                      wrapped_error)
 
 ENV_SEED = "UWB_SYNC_SEED"
 
@@ -138,6 +139,14 @@ def _ns_arg(token: str) -> float:
             f"expected a finite number of ns, got {token!r}") from None
 
 
+def _workers_arg(token: str) -> int:
+    """argparse type for --threads: a whole number of workers, at least 1."""
+    if not token.isdecimal() or int(token) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number >= 1, got {token!r}")
+    return int(token)
+
+
 def _env_seed(default):
     """The base seed in UWB_SYNC_SEED if it is set, else ``default``."""
     env = os.environ.get(ENV_SEED)
@@ -236,7 +245,7 @@ def cmd_sweep(args) -> int:
     print(_snr_definition_line(plan))
     n_groups = len(plan.groups())
     print(f"running {n_groups} trial groups x {plan.trials_per_cell} trials "
-          f"({args.threads} worker(s))...")
+          f"({sweep_workers(plan, args.threads)} worker(s))...")
     records = run_sweep(plan, n_workers=args.threads)
     csv_text = records_to_csv(records)
     (out_dir / "results.csv").write_text(csv_text)
@@ -349,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a Monte-Carlo sweep from a config file")
     p_sweep.add_argument("config", help="config file (key-value text)")
     p_sweep.add_argument("--out", default="out", help="output directory")
-    p_sweep.add_argument("--threads", type=int, default=1,
+    p_sweep.add_argument("--threads", type=_workers_arg, default=1,
                          help="parallel trial-group workers")
     p_sweep.add_argument("--dump-objectives", action="store_true",
                          help="write objective curves for trial 0 of each cell")

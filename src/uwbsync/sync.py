@@ -186,7 +186,7 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig,
     origin_idx = r.index_of(cc.origin(cfg))
 
     x = r.samples
-    need = origin_idx + (m + 1) * n_s + (n_grid - 1) * step_samples + n_d
+    need = origin_idx + (m + 1) * n_s + (n_grid - 1) * step_samples
     if origin_idx - n_d < 0 or need > len(x):
         raise ValueError(
             f"record too short for coarse search: need {need} samples from "

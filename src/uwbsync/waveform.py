@@ -22,6 +22,7 @@ __all__ = [
     "monocycle",
     "sampled_monocycle",
     "make_th_code",
+    "place_symbols",
     "generate_tx",
 ]
 
@@ -282,25 +283,39 @@ def make_th_code(seed, cfg: FrameConfig) -> tuple[int, ...]:
     return tuple(int(c) for c in code)
 
 
+def place_symbols(symbols: SymbolSequence, wave: np.ndarray, cfg: FrameConfig,
+                  n_out: int, offset: int = 0) -> np.ndarray:
+    """Overlap-add one symbol-long waveform once per data bit.
+
+    Symbol k's copy of ``wave`` starts at sample k*n_symbol_samples +
+    bit*n_shift_samples + offset of an ``n_out``-sample output; each copy
+    must start inside the output and is cut at its end.
+    """
+    out = np.zeros(n_out)
+    n_sym = cfg.n_symbol_samples
+    n_shift = cfg.n_shift_samples
+    for k, bit in enumerate(symbols.bits):
+        start = k * n_sym + bit * n_shift + offset
+        stop = min(n_out, start + len(wave))
+        out[start:stop] += wave[:stop - start]
+    return out
+
+
 def generate_tx(symbols: SymbolSequence, cfg: FrameConfig) -> SampledWaveform:
     """Synthesize the TH-PPM pulse train for a bit sequence.
 
     Output length is exactly ``len(symbols) * cfg.n_symbol_samples``;
     each frame carries one pulse of energy ``cfg.pulse_energy``, and a
     data bit of 1 shifts all pulses of its symbol by the PPM shift.
+    Pulses never overlap, so placing one bit-0 symbol per bit is exact.
     """
     if not isinstance(symbols, SymbolSequence):
         symbols = SymbolSequence.fixed(symbols)
     n_sym = cfg.n_symbol_samples
-    out = np.zeros(len(symbols) * n_sym)
     pulse = sampled_monocycle(cfg.pulse_duration, cfg.sample_rate)
     pulse = pulse * math.sqrt(cfg.pulse_energy)
-    n_p = len(pulse)
-    frame_starts = cfg.frame_start_samples()
-    n_shift = cfg.n_shift_samples
-    for k, bit in enumerate(symbols.bits):
-        base = k * n_sym + bit * n_shift
-        for off in frame_starts:
-            start = base + int(off)
-            out[start:start + n_p] += pulse
-    return SampledWaveform(out, cfg.sample_rate, 0.0)
+    symbol = np.zeros(n_sym)
+    for start in cfg.frame_start_samples():
+        symbol[start:start + len(pulse)] = pulse
+    return SampledWaveform(place_symbols(symbols, symbol, cfg, len(symbols) * n_sym),
+                           cfg.sample_rate, 0.0)

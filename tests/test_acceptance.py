@@ -21,7 +21,6 @@ from uwbsync import (
     aggregate_template,
     coarse_sync,
     generate_cm1,
-    generate_tx,
     partial_energies,
     propagate,
     records_to_csv,
@@ -82,12 +81,11 @@ def noiseless_trials():
     fc = plan.fine_cfg
     rng = np.random.default_rng(20260801)
     bits = SymbolSequence.fixed([training_pattern(k) for k in range(16 + 12)])
-    tx = generate_tx(bits, cfg)
     t0 = time.time()
     errs = []
     for _ in range(50):
         dtau = float(rng.uniform(0.0, TS))
-        r = propagate(tx, single_path(), LinkParams(dtau, math.inf, 0), cfg)
+        r = propagate(bits, single_path(), LinkParams(dtau, math.inf, 0), cfg)
         est = two_floor_sync(r, cfg, cc, fc)
         errs.append((wrapped_error(est.tau1, dtau, TS),
                      wrapped_error(est.tau2, dtau, TS)))
@@ -162,8 +160,7 @@ class TestCriterion03ObjectivePeak:
             ch = generate_cm1(9000 + seed)
             dtau = float(rng.uniform(0.0, TS))
             bits = SymbolSequence.random(64 + 12, 70_000 + seed)
-            tx = generate_tx(bits, cfg)
-            r = propagate(tx, ch, LinkParams(dtau, math.inf, 0), cfg)
+            r = propagate(bits, ch, LinkParams(dtau, math.inf, 0), cfg)
             tau1, _ = coarse_sync(r, cfg, cc)
             err = abs(wrapped_error(tau1, dtau, TS))
             hits += err <= cc.search_step + 1e-15
@@ -270,8 +267,7 @@ class TestCriterion10ScaleInvariance:
             ch = generate_cm1(40_000 + trial)
             dtau = float(rng.uniform(0.0, TS))
             bits = SymbolSequence.random(8 + 12, 50_000 + trial)
-            tx = generate_tx(bits, cfg)
-            r = propagate(tx, ch, LinkParams(dtau, 10.0, 60_000 + trial), cfg)
+            r = propagate(bits, ch, LinkParams(dtau, 10.0, 60_000 + trial), cfg)
             ref = two_floor_sync(r, cfg, cc, fc)
             for scale in (1e-3, 1e3):
                 est = two_floor_sync(r.scaled(scale), cfg, cc, fc)

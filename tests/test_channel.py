@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from uwbsync import (
     ChannelRealization,
@@ -26,13 +27,30 @@ from uwbsync import (
     taps_from_text,
     taps_to_text,
 )
-from uwbsync.channel import noise_std, snr_ref_samples
+from uwbsync.channel import _apply_taps, noise_std, snr_ref_samples
 from uwbsync.defaults import default_frame_config
+
+BITS = st.lists(st.integers(0, 1), min_size=1, max_size=5)
+# Hopping codes up to chip 33, the last one a bit-1 pulse can use, so a
+# channel tail can run into the next symbol.
+CODES = st.integers(0, 2**32 - 1).map(
+    lambda seed: tuple(np.random.default_rng(seed).integers(0, 34, 32)))
+OFFSETS = st.integers(0, 55_999).map(lambda n: n / 50e9)
 
 
 @pytest.fixture(scope="module")
 def cfg():
     return default_frame_config()
+
+
+def taps_over_train(bits, ch, offset, cfg):
+    """Oracle record: the taps applied to the whole pulse train, then delayed."""
+    sig = _apply_taps(generate_tx(bits, cfg).samples, ch, cfg.sample_rate)
+    out = np.zeros((len(bits) + 1) * cfg.n_symbol_samples)
+    n_off = int(round(offset * cfg.sample_rate))
+    end = min(len(out), n_off + len(sig))
+    out[n_off:end] = sig[:end - n_off]
+    return out
 
 
 class TestRealizations:
@@ -92,23 +110,25 @@ class TestRealizations:
 
 class TestPropagate:
     def test_identity_channel_zero_offset(self, cfg):
-        tx = generate_tx(SymbolSequence.fixed([0, 1]), cfg)
-        out = propagate(tx, single_path(), LinkParams(0.0, math.inf, 0), cfg)
+        bits = SymbolSequence.fixed([0, 1])
+        tx = generate_tx(bits, cfg)
+        out = propagate(bits, single_path(), LinkParams(0.0, math.inf, 0), cfg)
         n = len(tx.samples)
         assert np.array_equal(out.samples[:n], tx.samples)
         assert np.all(out.samples[n:] == 0.0)
 
     def test_pure_delay(self, cfg):
-        tx = generate_tx(SymbolSequence.fixed([0, 1]), cfg)
+        bits = SymbolSequence.fixed([0, 1])
+        tx = generate_tx(bits, cfg)
         off = 7e-9
-        out = propagate(tx, single_path(), LinkParams(off, math.inf, 0), cfg)
+        out = propagate(bits, single_path(), LinkParams(off, math.inf, 0), cfg)
         n = int(round(off * cfg.sample_rate))
         assert np.array_equal(out.samples[n:n + len(tx.samples)], tx.samples)
         assert np.all(out.samples[:n] == 0.0)
 
     def test_output_window_is_k_plus_one_symbols(self, cfg):
-        tx = generate_tx(SymbolSequence.fixed([0, 1, 0]), cfg)
-        out = propagate(tx, single_path(), LinkParams(1e-9, math.inf, 0), cfg)
+        out = propagate(SymbolSequence.fixed([0, 1, 0]), single_path(),
+                        LinkParams(1e-9, math.inf, 0), cfg)
         assert len(out.samples) == 4 * cfg.n_symbol_samples
 
     def test_energy_preserved_through_nonoverlapping_channel(self, cfg):
@@ -117,42 +137,93 @@ class TestPropagate:
         gains = np.full(5, 1.0 / math.sqrt(5.0))
         taps = [(float(g), i * 2e-9) for i, g in enumerate(gains)]
         ch = from_taps(taps)
-        tx = generate_tx(SymbolSequence.fixed([0, 1, 1, 0]), cfg)
-        out = propagate(tx, ch, LinkParams(0.0, math.inf, 0), cfg)
+        bits = SymbolSequence.fixed([0, 1, 1, 0])
+        tx = generate_tx(bits, cfg)
+        out = propagate(bits, ch, LinkParams(0.0, math.inf, 0), cfg)
         assert out.energy() == pytest.approx(tx.energy(), rel=5e-3)
 
     def test_cm1_energy_consistent_with_template(self, cfg):
         # With overlapping rays the energy deviates from the input by the
         # pulse cross terms; propagate and the template agree on it.
-        tx = generate_tx(SymbolSequence.fixed([0, 0, 0, 0]), cfg)
+        bits = SymbolSequence.fixed([0, 0, 0, 0])
+        tx = generate_tx(bits, cfg)
         ch = generate_cm1(3)
-        out = propagate(tx, ch, LinkParams(0.0, math.inf, 0), cfg)
+        out = propagate(bits, ch, LinkParams(0.0, math.inf, 0), cfg)
         template_ratio = aggregate_template(ch, cfg).energy() / (
             cfg.n_frames_per_symbol * cfg.pulse_energy)
         assert out.energy() / tx.energy() == pytest.approx(template_ratio, rel=1e-9)
 
     def test_rejects_offset_outside_symbol(self, cfg):
-        tx = generate_tx(SymbolSequence.fixed([0]), cfg)
+        bits = SymbolSequence.fixed([0])
         with pytest.raises(ValueError):
-            propagate(tx, single_path(),
+            propagate(bits, single_path(),
                       LinkParams(cfg.symbol_duration, math.inf, 0), cfg)
         with pytest.raises(ValueError):
-            propagate(tx, single_path(), LinkParams(-1e-9, math.inf, 0), cfg)
+            propagate(bits, single_path(), LinkParams(-1e-9, math.inf, 0), cfg)
 
     def test_noise_deterministic_per_seed(self, cfg):
-        tx = generate_tx(SymbolSequence.fixed([0]), cfg)
-        a = propagate(tx, single_path(), LinkParams(0.0, 10.0, 42), cfg)
-        b = propagate(tx, single_path(), LinkParams(0.0, 10.0, 42), cfg)
-        c = propagate(tx, single_path(), LinkParams(0.0, 10.0, 43), cfg)
+        bits = SymbolSequence.fixed([0])
+        a = propagate(bits, single_path(), LinkParams(0.0, 10.0, 42), cfg)
+        b = propagate(bits, single_path(), LinkParams(0.0, 10.0, 42), cfg)
+        c = propagate(bits, single_path(), LinkParams(0.0, 10.0, 43), cfg)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
+    def test_rejects_a_pulse_train(self, cfg):
+        # The old calling form passed the transmit waveform; its length
+        # must not be read as a number of symbols.
+        tx = generate_tx(SymbolSequence.fixed([0, 1]), cfg)
+        with pytest.raises(TypeError, match="SymbolSequence"):
+            propagate(tx, single_path(), LinkParams(0.0, math.inf, 0), cfg)
+        with pytest.raises(TypeError, match="SymbolSequence"):
+            propagate([0, 1], single_path(), LinkParams(0.0, math.inf, 0), cfg)
+
+    @settings(max_examples=25, deadline=None)
+    @given(channel_seed=st.integers(0, 2**32 - 1), bits=BITS, code=CODES,
+           offset=OFFSETS)
+    # Symbol 0's tail reaches symbol 1's first pulse: 209 samples differ.
+    @example(channel_seed=0, bits=[1, 0], code=(0,) * 31 + (33,), offset=0.0)
+    def test_cm1_record_matches_taps_over_the_whole_train(self, cfg, channel_seed,
+                                                          bits, code, offset):
+        # Where one symbol's channel tail overlaps the next symbol the
+        # record adds two templates instead of summing tap by tap, so the
+        # two agree to rounding.
+        cfg = cfg.with_th_code(code)
+        ch = generate_cm1(channel_seed)
+        bits = SymbolSequence.fixed(bits)
+        out = propagate(bits, ch, LinkParams(offset, math.inf, 0), cfg)
+        expected = taps_over_train(bits, ch, offset, cfg)
+        peak = float(np.max(np.abs(expected)))
+        assert out.samples.shape == expected.shape
+        assert float(np.max(np.abs(out.samples - expected))) <= 1e-12 * peak
+
+    @settings(max_examples=25, deadline=None)
+    @given(bits=BITS, code=CODES, offset=OFFSETS)
+    def test_single_path_record_is_bit_exact(self, cfg, bits, code, offset):
+        cfg = cfg.with_th_code(code)
+        bits = SymbolSequence.fixed(bits)
+        out = propagate(bits, single_path(), LinkParams(offset, math.inf, 0), cfg)
+        expected = taps_over_train(bits, single_path(), offset, cfg)
+        assert out.samples.tobytes() == expected.tobytes()
+
+    def test_noise_is_added_to_the_clean_record(self, cfg):
+        # Bit for bit: the noisy record is the clean one plus
+        # normal(0, sigma) drawn from the noise seed.
+        bits = SymbolSequence.random(5, 4)
+        ch = generate_cm1(12)
+        clean = propagate(bits, ch, LinkParams(300e-9, math.inf, 77), cfg)
+        noisy = propagate(bits, ch, LinkParams(300e-9, 4.0, 77), cfg)
+        template = aggregate_template(ch, cfg).samples[:cfg.n_symbol_samples]
+        sigma = noise_std(float(np.dot(template, template)), 4.0, snr_ref_samples(cfg))
+        noise = np.random.default_rng(77).normal(0.0, sigma, len(clean.samples))
+        assert noisy.samples.tobytes() == (clean.samples + noise).tobytes()
+
     def test_noise_variance_calibration(self, cfg):
         # Measured variance over ~1e6 noise-only samples within 1%.
-        tx = generate_tx(SymbolSequence.random(18, 0), cfg)
+        bits = SymbolSequence.random(18, 0)
         ch = single_path()
-        clean = propagate(tx, ch, LinkParams(0.0, math.inf, 1), cfg)
-        noisy = propagate(tx, ch, LinkParams(0.0, 6.0, 1), cfg)
+        clean = propagate(bits, ch, LinkParams(0.0, math.inf, 1), cfg)
+        noisy = propagate(bits, ch, LinkParams(0.0, 6.0, 1), cfg)
         noise = noisy.samples - clean.samples
         assert len(noise) >= 1_000_000
         template = aggregate_template(ch, cfg)
@@ -175,10 +246,10 @@ class TestAggregateTemplate:
         ch = generate_cm1(9)
         t = aggregate_template(ch, cfg)
         _, _, eps_r = partial_energies(t, 0.0, cfg.symbol_duration)
-        tx = generate_tx(SymbolSequence.fixed([0, 0, 0]), cfg)
+        bits = SymbolSequence.fixed([0, 0, 0])
         energies = []
         for off in (0.0, 13.7e-9, 411.3e-9):
-            out = propagate(tx, ch, LinkParams(off, math.inf, 0), cfg)
+            out = propagate(bits, ch, LinkParams(off, math.inf, 0), cfg)
             energies.append(out.energy())
         assert max(energies) - min(energies) <= 1e-6 * max(energies)
 

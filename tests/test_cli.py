@@ -192,6 +192,25 @@ class TestSweepCommand:
         plan = load_plan(tiny_config)
         assert load_plan(out1 / "manifest.cfg") == plan
 
+    def test_reports_the_workers_it_uses(self, tmp_path, capsys):
+        # One group runs serially whatever --threads asks for, so this
+        # starts no process.
+        path = tmp_path / "one_group.cfg"
+        path.write_text(TINY_CONFIG.replace("inf, 10", "inf")
+                        .replace("trials_per_cell = 2", "trials_per_cell = 1"))
+        assert main(["sweep", str(path), "--threads", "50",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert "running 1 trial groups x 1 trials (1 worker(s))" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_threads_below_one_exits_2(self, tmp_path, tiny_config, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(tiny_config), f"--threads={value}",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--threads: expected a whole number >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_dump_objectives(self, tmp_path, tiny_config):
         out = tmp_path / "dump"
         assert main(["sweep", str(tiny_config), "--out", str(out),

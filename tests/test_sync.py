@@ -16,7 +16,6 @@ from uwbsync import (
     dirty_correlation,
     difference_template,
     fine_sync,
-    generate_tx,
     propagate,
     single_path,
     training_pattern,
@@ -34,8 +33,8 @@ def cfg():
 
 
 def make_received(cfg, bits, delta_tau, snr_db=math.inf, noise_seed=0):
-    tx = generate_tx(SymbolSequence.fixed(bits), cfg)
-    return propagate(tx, single_path(), LinkParams(delta_tau, snr_db, noise_seed), cfg)
+    return propagate(SymbolSequence.fixed(bits), single_path(),
+                     LinkParams(delta_tau, snr_db, noise_seed), cfg)
 
 
 def da_bits(n):
@@ -184,8 +183,8 @@ class TestCoarseSync:
             ch = generate_cm1(3000 + seed)
             rng = np.random.default_rng(900 + seed)
             delta_tau = float(rng.uniform(0, t_s))
-            tx = generate_tx(SymbolSequence.fixed(da_bits(8 + 12)), cfg)
-            r = propagate(tx, ch, LinkParams(delta_tau, math.inf, 0), cfg)
+            r = propagate(SymbolSequence.fixed(da_bits(8 + 12)), ch,
+                          LinkParams(delta_tau, math.inf, 0), cfg)
             _, objective = coarse_sync(r, cfg, cc)
             taus = np.arange(len(objective)) * cc.search_step
             dist = np.abs([wrapped_error(t, delta_tau, t_s) for t in taus])
@@ -302,12 +301,12 @@ SHORT_FINE = FineConfig(t_corr=4e-9, n_symbols_avg=2)
 
 
 def coarse_min_samples(cfg, cc):
-    """Shortest record coarse_sync accepts: the last window plus guards."""
+    """Shortest record coarse_sync accepts: it ends at the last sample read,
+    the end of the last candidate's (M+1)-th segment."""
     n_s = cfg.n_symbol_samples
     step = n_s // cc.grid_size(cfg)
     origin = int(round(cc.origin(cfg) * FS))
-    return (origin + (cc.n_symbols + 1) * n_s + (cc.grid_size(cfg) - 1) * step
-            + cfg.n_shift_samples)
+    return origin + (cc.n_symbols + 1) * n_s + (cc.grid_size(cfg) - 1) * step
 
 
 def fine_min_samples(cfg, fc, tau1):

@@ -1,9 +1,11 @@
 """Waveform synthesis: pulse shape, hop codes, transmit train."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from uwbsync import (
@@ -146,6 +148,28 @@ class TestGenerateTx:
         a = generate_tx(bits, cfg)
         b = generate_tx(bits, cfg)
         assert np.array_equal(a.samples, b.samples)
+
+    @settings(max_examples=30, deadline=None)
+    @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=6),
+           code_seed=st.integers(0, 2**32 - 1),
+           energy=st.floats(0.0, 4.0))
+    def test_matches_per_pulse_loop(self, bits, code_seed, energy):
+        # Oracle: one pulse added per (symbol, frame) into a zero record.
+        # Codes reach the last chip a bit-1 pulse can use without leaking.
+        cfg = replace(default_frame_config(), pulse_energy=energy)
+        code = np.random.default_rng(code_seed).integers(0, 34, 32)
+        cfg = cfg.with_th_code(code)
+        pulse = sampled_monocycle(cfg.pulse_duration, cfg.sample_rate)
+        pulse = pulse * math.sqrt(energy)
+        n_sym = cfg.n_symbol_samples
+        expected = np.zeros(len(bits) * n_sym)
+        for k, bit in enumerate(bits):
+            for i, c in enumerate(cfg.th_code):
+                start = (k * n_sym + i * cfg.n_frame_samples + c * cfg.n_chip_samples
+                         + bit * cfg.n_shift_samples)
+                expected[start:start + len(pulse)] += pulse
+        tx = generate_tx(SymbolSequence.fixed(bits), cfg)
+        assert tx.samples.tobytes() == expected.tobytes()
 
     def test_output_length(self):
         cfg = default_frame_config()
