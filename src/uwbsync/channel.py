@@ -119,7 +119,7 @@ def _normalized(gains: np.ndarray, delays: np.ndarray, seed, model) -> ChannelRe
     order = np.argsort(delays, kind="stable")
     delays = delays[order] - delays[order][0]
     gains = gains[order]
-    gains = gains / math.sqrt(float(np.dot(gains, gains)))
+    gains = gains / math.sqrt(float(np.sum(gains * gains)))
     return ChannelRealization(tuple(gains), tuple(delays), seed=seed, model=model)
 
 
@@ -279,7 +279,10 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, link: LinkParams,
     out = place_symbols(bits, template, cfg, (len(bits) + 1) * n_sym, n_off)
 
     if link.snr_db != math.inf:
-        e_sum = float(np.dot(template[:n_sym], template[:n_sym]))
+        # np.sum, not np.dot: a BLAS dot this long runs threaded, and its
+        # rounding (so the record) then depends on the BLAS thread count.
+        head = template[:n_sym]
+        e_sum = float(np.sum(head * head))
         sigma = noise_std(e_sum, link.snr_db, snr_ref_samples(cfg))
         # normal(0, sigma) draws 0.0 + sigma * z, so this is the same noise
         # without a second record-sized array.

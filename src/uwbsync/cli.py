@@ -139,12 +139,14 @@ def _ns_arg(token: str) -> float:
             f"expected a finite number of ns, got {token!r}") from None
 
 
-def _workers_arg(token: str) -> int:
-    """argparse type for --threads: a whole number of workers, at least 1."""
-    if not token.isdecimal() or int(token) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a whole number >= 1, got {token!r}")
-    return int(token)
+def _whole_number_arg(minimum: int):
+    """argparse type for a count or seed flag: a whole number >= ``minimum``."""
+    def parse(token: str) -> int:
+        if not token.isdecimal() or int(token) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected a whole number >= {minimum}, got {token!r}")
+        return int(token)
+    return parse
 
 
 def _env_seed(default):
@@ -323,14 +325,11 @@ def cmd_demo(args) -> int:
 
 
 def cmd_channel(args) -> int:
-    if args.count < 0:
-        print("config error: count must be >= 0", file=sys.stderr)
-        return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
     for i in range(args.count):
-        ss = np.random.SeedSequence(entropy=int(args.seed), spawn_key=(i,))
+        ss = np.random.SeedSequence(entropy=args.seed, spawn_key=(i,))
         ch = generate_cm1(ss, args.max_delay_ns)
         path = out_dir / f"taps_{i:04d}.txt"
         path.write_text(taps_to_text(ch))
@@ -358,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a Monte-Carlo sweep from a config file")
     p_sweep.add_argument("config", help="config file (key-value text)")
     p_sweep.add_argument("--out", default="out", help="output directory")
-    p_sweep.add_argument("--threads", type=_workers_arg, default=1,
+    p_sweep.add_argument("--threads", type=_whole_number_arg(1), default=1,
                          help="parallel trial-group workers")
     p_sweep.add_argument("--dump-objectives", action="store_true",
                          help="write objective curves for trial 0 of each cell")
@@ -368,15 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--snr", default="inf", help="SNR in dB, or 'inf'")
     p_demo.add_argument("--m", type=int, default=16, help="observation symbols M")
     p_demo.add_argument("--mode", default="da", help="nda or da")
-    p_demo.add_argument("--seed", type=int, default=None,
+    p_demo.add_argument("--seed", type=_whole_number_arg(0), default=None,
                         help="base seed (default: the config's)")
     p_demo.add_argument("--config", default=None, help="optional config file")
     p_demo.add_argument("--out", default="out", help="output directory")
     p_demo.set_defaults(func=cmd_demo)
 
     p_ch = sub.add_parser("channel", help="generate channel tap-list fixtures")
-    p_ch.add_argument("--seed", type=int, default=0)
-    p_ch.add_argument("--count", type=int, default=1)
+    p_ch.add_argument("--seed", type=_whole_number_arg(0), default=0)
+    p_ch.add_argument("--count", type=_whole_number_arg(0), default=1)
     p_ch.add_argument("--max-delay-ns", type=_ns_arg, default=DEFAULT_MAX_DELAY)
     p_ch.add_argument("--out", default="out/channels", help="output directory")
     p_ch.set_defaults(func=cmd_channel)

@@ -201,9 +201,12 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig,
     taus = np.arange(n_grid) * step_samples
     starts = origin_idx + taus[:, None] + np.arange(m)[None, :] * n_s
     end = int(starts.max()) + n_s
-    g = np.zeros(end)
-    g[n_d:] = x[n_s + n_d:n_s + end] * (x[2 * n_d:end + n_d] - x[:end - n_d])
-    csum = np.concatenate(([0.0], np.cumsum(g)))
+    csum = np.empty(end + 1)  # csum[i] = g[0] + ... + g[i - 1], built in place
+    csum[:n_d + 1] = 0.0
+    g = csum[n_d + 1:]
+    np.subtract(x[2 * n_d:end + n_d], x[:end - n_d], out=g)
+    np.multiply(x[n_s + n_d:n_s + end], g, out=g)
+    np.cumsum(csum[1:], out=csum[1:])
     corr = (csum[starts + n_s] - csum[starts]) / fs
 
     if cc.mode == "nda":
@@ -255,8 +258,10 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
         )
     # Lagged products and their prefix sum up to the last window end read;
     # w[j] is the sum of the window starting at j.
-    prod = x[:hi] * x[lag:lag + hi]
-    csum = np.concatenate(([0.0], np.cumsum(prod)))
+    csum = np.empty(hi + 1)
+    csum[0] = 0.0
+    np.multiply(x[:hi], x[lag:lag + hi], out=csum[1:])
+    np.cumsum(csum[1:], out=csum[1:])
     w = csum[window:] - csum[:-window]
     sums = w[(base + off_samples)[:, None] + pos[None, :]].reshape(
         len(offsets), k_avg, len(frame_pos))

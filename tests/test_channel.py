@@ -214,7 +214,7 @@ class TestPropagate:
         clean = propagate(bits, ch, LinkParams(300e-9, math.inf, 77), cfg)
         noisy = propagate(bits, ch, LinkParams(300e-9, 4.0, 77), cfg)
         template = aggregate_template(ch, cfg).samples[:cfg.n_symbol_samples]
-        sigma = noise_std(float(np.dot(template, template)), 4.0, snr_ref_samples(cfg))
+        sigma = noise_std(float(np.sum(template * template)), 4.0, snr_ref_samples(cfg))
         noise = np.random.default_rng(77).normal(0.0, sigma, len(clean.samples))
         assert noisy.samples.tobytes() == (clean.samples + noise).tobytes()
 
@@ -327,12 +327,30 @@ class TestPartialEnergies:
             partial_energies(t, cfg.symbol_duration, cfg.symbol_duration)
 
 
-def test_import_loads_no_scipy():
+def run_python(code: str, **env_vars) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this source."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, uwbsync; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, uwbsync; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert run_python(code) == "[]"
+
+
+def test_noisy_record_does_not_depend_on_blas_threads():
+    # A threaded BLAS dot sums in per-thread blocks, so its rounding, and
+    # with it the noise level, would change with the thread count.
+    code = ("import hashlib; from uwbsync import ExperimentPlan; "
+            "from uwbsync.harness import build_trial_scene; "
+            "h = hashlib.sha256(); "
+            "[h.update(build_trial_scene(ExperimentPlan(), 8.0, 8, 'nda', t, 0)"
+            ".received.samples.tobytes()) for t in range(4)]; "
+            "print(h.hexdigest())")
+    one, two = (run_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert one == two != ""

@@ -298,6 +298,21 @@ class TestChannelCommand:
         assert "--max-delay-ns: expected a finite number of ns" in err
         assert "_ns_to_s" not in err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("channel", "--seed", "-1"),
+        ("channel", "--seed", "abc"),
+        ("channel", "--count", "-2"),
+        ("demo", "--seed", "-1"),
+    ])
+    def test_negative_seed_or_count_exits_2_naming_flag(self, tmp_path, capsys,
+                                                        command, flag, value):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{flag}={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a whole number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_count_zero_writes_nothing(self, tmp_path):
         out = tmp_path / "empty"
         assert main(["channel", "--count", "0", "--out", str(out)]) == 0

@@ -52,6 +52,19 @@ class TestRunTrial:
         b = run_trial(plan, 12.0, 8, "nda", 3, 1)
         assert a == b
 
+    def test_no_blas_call_in_the_trial_loop(self, monkeypatch):
+        # A BLAS reduction runs threaded above a size threshold: it keeps a
+        # second core busy and its rounding depends on the thread count.
+        plan = ExperimentPlan()
+        run_trial(plan, 8.0, 8, "nda", 0, 0)  # fills the per-process pulse cache
+
+        def no_blas(*args, **kwargs):
+            raise AssertionError("BLAS call in the trial loop")
+        for name in ("dot", "vdot", "vecdot", "inner"):
+            monkeypatch.setattr(np, name, no_blas, raising=False)
+        monkeypatch.setattr(np.linalg, "norm", no_blas)
+        run_trial(plan, 8.0, 8, "nda", 1, 0)
+
     def test_trials_draw_independent_randomness(self):
         plan = ExperimentPlan()
         a = run_trial(plan, math.inf, 8, "nda", 0, 0)

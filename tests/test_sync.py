@@ -414,6 +414,33 @@ class TestTwoFloorSync:
         assert a.tau2 == b.tau2
 
 
+class TestBuffers:
+    def test_floors_write_every_buffer_entry_they_read(self, cfg, monkeypatch):
+        # np.empty may hand back used memory, so NaN-filled buffers must
+        # change no bit.  With the all-zero code and a fine scan half a step
+        # wider than a symbol, the first window at tau1 = 0 starts at sample
+        # 0 and reads the prefix sum's leading zero.
+        cfg = cfg.with_th_code([0] * cfg.n_frames_per_symbol)
+        bits = list(np.random.default_rng(5).integers(0, 2, 20))
+        r = make_received(cfg, bits, 500e-9, snr_db=10.0, noise_seed=3)
+        step = cfg.symbol_duration / 1120
+        fc = FineConfig(t_corr=1120.5 * step, fine_step=step, n_symbols_avg=2)
+
+        def floors():
+            _, coarse = coarse_sync(r, cfg, CoarseConfig(n_symbols=8))
+            _, _, fine = fine_sync(r, 0.0, cfg, fc)
+            return coarse.tobytes(), fine.tobytes()
+        expected = floors()
+        empty = np.empty
+
+        def nan_filled(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+        monkeypatch.setattr(np, "empty", nan_filled)
+        assert floors() == expected
+
+
 class TestModeContrast:
     def test_da_median_error_not_worse_than_nda(self, cfg):
         # Training symbols help: at a mid SNR and short observation, the
