@@ -245,8 +245,8 @@ def partial_energies(p_r: SampledWaveform, tau: float,
     if len(s) < n_s:
         s = np.pad(s, (0, n_s - len(s)))
     cut = n_s - n_tau
-    eps_b = float(np.dot(s[:cut], s[:cut]) / fs)
-    eps_a = float(np.dot(s[cut:], s[cut:]) / fs)
+    eps_b = float(np.sum(s[:cut] * s[:cut]) / fs)
+    eps_a = float(np.sum(s[cut:] * s[cut:]) / fs)
     eps_r = eps_a + eps_b
     return eps_a, eps_b, eps_r
 

@@ -104,7 +104,23 @@ class ExperimentPlan:
         if self.coarse_cfg.segment_origin is None:
             object.__setattr__(self, "coarse_cfg", replace(
                 self.coarse_cfg, segment_origin=self.frame_cfg.symbol_duration))
-        self.coarse_cfg.grid_size(self.frame_cfg)
+        frame, fine = self.frame_cfg, self.fine_cfg
+        self.coarse_cfg.grid_size(frame)
+        origin = self.coarse_cfg.segment_origin
+        if round(origin * frame.sample_rate) < frame.n_shift_samples:
+            raise ConfigError(
+                f"segment_origin {origin!r} s is closer to the record start "
+                f"than the PPM shift {frame.ppm_shift!r} s the coarse floor "
+                f"reads back", field="segment_origin")
+        # The fine scan's guard is one symbol: at tau1 = 0 and a code
+        # starting at chip 0, its most negative candidate must not pass
+        # sample 0 (fine_sync rounds offsets the same way).
+        reach = round((fine.n_steps - 1) * fine.fine_step * frame.sample_rate)
+        if reach > frame.n_symbol_samples:
+            raise ConfigError(
+                f"t_corr {fine.t_corr!r} s: the fine scan reaches {reach} "
+                f"samples before the coarse estimate, past its one-symbol "
+                f"guard of {frame.n_symbol_samples} samples", field="t_corr")
 
     def groups(self):
         """Deterministic enumeration of (snr, m, mode) trial groups."""
@@ -153,14 +169,18 @@ def _total_symbols(m: int, plan: ExperimentPlan) -> int:
 
     Both floors read beyond the nominal M-symbol span (difference
     templates reach +-delta, the fine scan reads a two-symbol lag), so
-    the record carries the averaging depth plus three guard symbols.
+    the record carries the averaging depth plus three guard symbols,
+    and the whole symbols by which the coarse segment origin lies past
+    the first.
     """
     cfg = plan.frame_cfg
     k_avg = plan.fine_cfg.n_symbols_avg
     scan_sym = int(math.ceil(plan.fine_cfg.t_corr / cfg.symbol_duration))
     guard = max(int(math.ceil(k_avg / cfg.n_frames_per_symbol)) + 3,
                 k_avg + 4 + scan_sym - m)
-    return m + guard
+    n_s = cfg.n_symbol_samples
+    past_first = round(plan.coarse_cfg.segment_origin * cfg.sample_rate) - n_s
+    return m + guard + max(0, -(-past_first // n_s))
 
 
 @dataclass(frozen=True)

@@ -156,7 +156,7 @@ def dirty_correlation(r: SampledWaveform, k: int, tau: float,
     if i1 < 0 or i1 + n_s > len(r.samples):
         raise ValueError("segment k+1 outside the record; provide guard symbols")
     seg = r.samples[i1:i1 + n_s]
-    return float(np.dot(seg, template.samples) / cfg.sample_rate)
+    return float(np.sum(seg * template.samples) / cfg.sample_rate)
 
 
 def _pattern_signs(m: int) -> np.ndarray:
@@ -187,7 +187,13 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig,
 
     x = r.samples
     need = origin_idx + (m + 1) * n_s + (n_grid - 1) * step_samples
-    if origin_idx - n_d < 0 or need > len(x):
+    if origin_idx < n_d:
+        raise ValueError(
+            f"segment origin at sample {origin_idx} is closer to the record "
+            f"start than the PPM shift ({n_d} samples) the difference "
+            f"template reads back"
+        )
+    if need > len(x):
         raise ValueError(
             f"record too short for coarse search: need {need} samples from "
             f"origin, have {len(x)} (M={m} plus guards)"
@@ -240,17 +246,17 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     k_avg = fc.n_symbols_avg
 
     # Guard origin of one symbol keeps the most negative candidate inside
-    # the record for any tau1 in [0, T_s).
+    # the record for any tau1 in [0, T_s) while the scan reaches at most
+    # one symbol back (ExperimentPlan checks t_corr for that).
     base = r.index_of(tau1 + cfg.symbol_duration)
     off_samples = np.round(offsets * fc.fine_step * fs).astype(np.int64)
 
     lag = 2 * n_s
     window = cfg.n_pulse_samples + cfg.n_shift_samples
     frame_pos = cfg.frame_start_samples()
-    # Window starts relative to a candidate's origin, (symbol, frame) order.
-    pos = ((np.arange(k_avg) * n_s)[:, None] + frame_pos[None, :]).ravel()
-    lo = base + int(off_samples.min()) + int(pos.min())
-    hi = base + int(off_samples.max()) + int(pos.max()) + window
+    lo = base + int(off_samples.min()) + int(frame_pos.min())
+    hi = (base + int(off_samples.max()) + (k_avg - 1) * n_s
+          + int(frame_pos.max()) + window)
     if lo < 0 or hi > len(x) - lag:
         raise ValueError(
             f"fine scan needs samples [{lo}, {hi}) beyond the record "
@@ -263,9 +269,14 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     np.multiply(x[:hi], x[lag:lag + hi], out=csum[1:])
     np.cumsum(csum[1:], out=csum[1:])
     w = csum[window:] - csum[:-window]
-    sums = w[(base + off_samples)[:, None] + pos[None, :]].reshape(
-        len(offsets), k_avg, len(frame_pos))
-    z = np.sum(np.abs(np.sum(sums, axis=2)), axis=1) / fs
+    # One (candidate, frame) index of window starts serves every symbol:
+    # symbol k reads it k symbols on, so each gather covers about one
+    # symbol of w.  sums[c, k] is candidate c's frame sum in symbol k.
+    idx = (base + off_samples)[:, None] + frame_pos[None, :]
+    sums = np.empty((len(offsets), k_avg))
+    for k in range(k_avg):
+        np.sum(np.take(w[k * n_s:], idx), axis=1, out=sums[:, k])
+    z = np.sum(np.abs(sums), axis=1) / fs
 
     # Tie order: smallest |n| first, negative first.  np.argmax keeps the
     # first maximum of z taken in that order.

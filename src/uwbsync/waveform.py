@@ -181,7 +181,7 @@ class SampledWaveform:
 
     def energy(self) -> float:
         """Riemann-sum energy, sum(x^2) / sample_rate."""
-        return float(np.dot(self.samples, self.samples) / self.sample_rate)
+        return float(np.sum(self.samples * self.samples) / self.sample_rate)
 
     def scaled(self, factor: float) -> "SampledWaveform":
         return SampledWaveform(self.samples * factor, self.sample_rate, self.t_start)

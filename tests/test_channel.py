@@ -17,6 +17,7 @@ from uwbsync import (
     LinkParams,
     SymbolSequence,
     aggregate_template,
+    dirty_correlation,
     from_taps,
     generate_cm1,
     generate_tx,
@@ -325,6 +326,21 @@ class TestPartialEnergies:
         t = aggregate_template(single_path(), cfg)
         with pytest.raises(ValueError):
             partial_energies(t, cfg.symbol_duration, cfg.symbol_duration)
+
+
+def test_symbol_long_energies_call_no_blas(cfg, monkeypatch):
+    # A BLAS dot over a symbol runs threaded, so its last bits would depend
+    # on the thread count.
+    t = aggregate_template(generate_cm1(5), cfg)
+    r = propagate(SymbolSequence.fixed([1, 0, 1, 1, 0]), generate_cm1(5),
+                  LinkParams(300e-9, 10.0, 2), cfg)
+
+    def no_blas(*args, **kwargs):
+        raise AssertionError("BLAS call")
+    monkeypatch.setattr(np, "dot", no_blas)
+    partial_energies(t, 400e-9, cfg.symbol_duration)
+    t.energy()
+    dirty_correlation(r, 1, 300e-9, cfg)
 
 
 def run_python(code: str, **env_vars) -> str:

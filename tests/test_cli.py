@@ -108,6 +108,9 @@ class TestConfig:
         ("[coarse]\nsearch_step_ns = 33", "search_step_ns"),  # does not divide T_s
         ("[fine]\nfine_step_ns = -1", "fine_step_ns"),
         ("[fine]\nn_symbols_avg = 0", "n_symbols_avg"),
+        ("[coarse]\nsegment_origin_ns = 0", "segment_origin_ns"),  # before the PPM shift
+        ("[coarse]\nsegment_origin_ns = -5", "segment_origin_ns"),
+        ("[fine]\nt_corr_ns = 1500", "t_corr_ns"),  # scan passes its one-symbol guard
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, text, key):
         path = tmp_path / "bad.cfg"
@@ -160,8 +163,8 @@ def resolved_plans(draw):
         base_seed=draw(st.integers(0, 2**64)),
         frame_cfg=frame,
         coarse_cfg=CoarseConfig(search_step=t_s / draw(st.integers(1, 64)),
-                                segment_origin=draw(st.floats(0.0, 1e-5))),
-        fine_cfg=FineConfig(t_corr=draw(st.floats(0.0, 1e-5)),
+                                segment_origin=draw(st.floats(frame.ppm_shift, 1e-5))),
+        fine_cfg=FineConfig(t_corr=draw(st.floats(0.0, t_s)),
                             fine_step=draw(st.floats(1e-13, 1e-8)),
                             n_symbols_avg=draw(st.integers(1, 64))),
         channel_model=draw(st.sampled_from(["cm1", "single_path"])),
@@ -210,6 +213,14 @@ class TestSweepCommand:
         assert exc.value.code == 2
         assert "--threads: expected a whole number >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_segment_origin_many_symbols_in(self, tmp_path):
+        # The record grows by the whole symbols the origin lies past the first.
+        path = tmp_path / "far_origin.cfg"
+        path.write_text(TINY_CONFIG.replace("inf, 10", "10")
+                        .replace("trials_per_cell = 2", "trials_per_cell = 1")
+                        + "\n[coarse]\nsegment_origin_ns = 20000\n")
+        assert main(["sweep", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_dump_objectives(self, tmp_path, tiny_config):
         out = tmp_path / "dump"

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from uwbsync import (
+    CoarseConfig,
+    ConfigError,
     ExperimentPlan,
+    FineConfig,
     MseRecord,
     records_to_csv,
     run_sweep,
@@ -37,6 +40,23 @@ class TestWrappedError:
             # e differs from the raw difference by a whole number of T_s
             k = (a - b - e) / TS
             assert k == pytest.approx(round(k), abs=1e-9)
+
+
+class TestPlanGuards:
+    def test_segment_origin_may_sit_at_the_ppm_shift(self):
+        ExperimentPlan(coarse_cfg=CoarseConfig(segment_origin=1e-9))
+        with pytest.raises(ConfigError, match="PPM shift") as exc:
+            ExperimentPlan(coarse_cfg=CoarseConfig(segment_origin=0.98e-9))
+        assert exc.value.field == "segment_origin"
+
+    def test_fine_scan_may_reach_exactly_one_symbol_back(self):
+        # The scan TestBuffers runs: at tau1 = 0 its first window starts at
+        # sample 0.  One step wider passes the record start.
+        step = TS / 1120
+        ExperimentPlan(fine_cfg=FineConfig(t_corr=1120.5 * step, fine_step=step))
+        with pytest.raises(ConfigError, match="one-symbol guard") as exc:
+            ExperimentPlan(fine_cfg=FineConfig(t_corr=1121.5 * step, fine_step=step))
+        assert exc.value.field == "t_corr"
 
 
 class TestRunTrial:

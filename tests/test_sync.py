@@ -62,6 +62,25 @@ def fine_objective_loop(r, tau1, cfg, fc):
     return np.asarray(oracle)
 
 
+def fine_objective_cube(r, tau1, cfg, fc):
+    """The fine objective through one (candidates, symbols x frames) index
+    over the window sums, gathered in one piece and summed over frames."""
+    n_s = cfg.n_symbol_samples
+    offsets = np.arange(-fc.n_steps + 1, fc.n_steps)
+    base = int(round((tau1 + cfg.symbol_duration) * FS))
+    off_samples = np.round(offsets * fc.fine_step * FS).astype(np.int64)
+    w = cfg.n_pulse_samples + cfg.n_shift_samples
+    frame_pos = cfg.frame_start_samples()
+    pos = ((np.arange(fc.n_symbols_avg) * n_s)[:, None] + frame_pos[None, :]).ravel()
+    hi = base + int(off_samples.max()) + int(pos.max()) + w
+    x = r.samples
+    csum = np.concatenate(([0.0], np.cumsum(x[:hi] * x[2 * n_s:2 * n_s + hi])))
+    window_sums = csum[w:] - csum[:-w]
+    cube = window_sums[(base + off_samples)[:, None] + pos[None, :]].reshape(
+        len(offsets), fc.n_symbols_avg, len(frame_pos))
+    return np.sum(np.abs(np.sum(cube, axis=2)), axis=1) / FS
+
+
 class TestTrainingPattern:
     def test_first_values(self):
         assert training_pattern(0) == 1
@@ -217,6 +236,11 @@ class TestCoarseSync:
         with pytest.raises(ValueError):
             coarse_sync(r, cfg, CoarseConfig(n_symbols=8))
 
+    def test_origin_before_ppm_shift_is_not_a_length_error(self, cfg):
+        r = SampledWaveform(np.zeros(20 * cfg.n_symbol_samples), FS)
+        with pytest.raises(ValueError, match="closer to the record start"):
+            coarse_sync(r, cfg, CoarseConfig(n_symbols=8, segment_origin=0.0))
+
     def test_rejects_bad_grid(self, cfg):
         with pytest.raises(Exception):
             CoarseConfig(search_step=33e-9).grid_size(cfg)
@@ -261,6 +285,26 @@ class TestFineSync:
         _, _, z = fine_sync(r, 63e-9, cfg, fc)
         oracle = fine_objective_loop(r, 63e-9, cfg, fc)
         np.testing.assert_allclose(z, oracle, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(code=st.lists(st.integers(0, 33), min_size=32, max_size=32),
+           k_avg=st.integers(1, 8), t_corr=st.floats(0.0, 40e-9),
+           step=st.sampled_from([0.02e-9, 0.25e-9, 0.3e-9]),
+           cell=st.integers(0, 31), snr_db=st.sampled_from([math.inf, 0.0, 12.0]),
+           delta_tau=st.floats(0.0, 1119e-9), noise_seed=st.integers(0, 2**16))
+    def test_matches_the_cube_gather_bit_for_bit(self, cfg, code, k_avg, t_corr,
+                                                 step, cell, snr_db, delta_tau,
+                                                 noise_seed):
+        # Steps of 1, 12.5 and 15 samples; 12.5 rounds half to even.
+        cfg = cfg.with_th_code(code)
+        fc = FineConfig(t_corr=t_corr, fine_step=step, n_symbols_avg=k_avg)
+        r = make_received(cfg, da_bits(14), delta_tau, snr_db, noise_seed)
+        tau1 = cell * 35e-9
+        _, n_opt, z = fine_sync(r, tau1, cfg, fc)
+        expected = fine_objective_cube(r, tau1, cfg, fc)
+        assert z.tobytes() == expected.tobytes()
+        peaks = np.flatnonzero(expected == expected.max()) - (fc.n_steps - 1)
+        assert n_opt == min(peaks, key=lambda n: (abs(n), n))
 
     def test_zero_waveform_ties_to_zero_step(self, cfg):
         r = SampledWaveform(np.zeros(16 * cfg.n_symbol_samples), FS)
