@@ -7,7 +7,7 @@ from .waveform import (
     SymbolSequence,
     monocycle,
     sampled_monocycle,
-    make_th_code,
+    draw_th_code,
     generate_tx,
 )
 from .channel import (
@@ -15,7 +15,6 @@ from .channel import (
     LinkParams,
     generate_cm1,
     single_path,
-    from_taps,
     propagate,
     aggregate_template,
     partial_energies,
@@ -28,8 +27,6 @@ from .sync import (
     FineConfig,
     SyncEstimate,
     training_pattern,
-    difference_template,
-    dirty_correlation,
     coarse_sync,
     fine_sync,
     two_floor_sync,
@@ -43,6 +40,5 @@ from .harness import (
     run_sweep,
     records_to_csv,
 )
-from .defaults import default_frame_config
 
 __version__ = "0.1.0"

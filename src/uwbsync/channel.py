@@ -28,7 +28,6 @@ __all__ = [
     "LinkParams",
     "generate_cm1",
     "single_path",
-    "from_taps",
     "propagate",
     "aggregate_template",
     "partial_energies",
@@ -101,10 +100,6 @@ class ChannelRealization:
     def n_taps(self) -> int:
         return len(self.gains)
 
-    @property
-    def max_delay(self) -> float:
-        return self.delays[-1]
-
 
 @dataclass(frozen=True)
 class LinkParams:
@@ -164,13 +159,6 @@ def generate_cm1(seed, max_delay: float = DEFAULT_MAX_DELAY) -> ChannelRealizati
 def single_path() -> ChannelRealization:
     """The identity channel: one unit tap at delay 0."""
     return ChannelRealization((1.0,), (0.0,), model="single_path")
-
-
-def from_taps(taps, seed=None, model: str = "fixed") -> ChannelRealization:
-    """Build a realization from (gain, delay) pairs (must be normalized)."""
-    gains = tuple(g for g, _ in taps)
-    delays = tuple(d for _, d in taps)
-    return ChannelRealization(gains, delays, seed=seed, model=model)
 
 
 def noise_std(symbol_energy_sumsq: float, snr_db: float, ref_samples: int) -> float:

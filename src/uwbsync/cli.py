@@ -27,7 +27,7 @@ from .channel import (DEFAULT_MAX_DELAY, generate_cm1, rms_delay_spread,
                       taps_to_text, snr_ref_samples)
 from .sync import CoarseConfig, FineConfig
 from .harness import (ExperimentPlan, records_to_csv, run_sweep, sweep_workers,
-                      wrapped_error)
+                      sync_trial, wrapped_error)
 
 ENV_SEED = "UWB_SYNC_SEED"
 
@@ -267,13 +267,8 @@ def cmd_sweep(args) -> int:
 
 def _dump_objectives(plan: ExperimentPlan, out_dir: Path) -> None:
     """Objective curves of trial 0 of every cell, as two-column text."""
-    from .harness import build_trial_scene
-    from .sync import two_floor_sync
-
     for gi, (snr, m, mode) in enumerate(plan.groups()):
-        scene = build_trial_scene(plan, snr, m, mode, 0, gi)
-        cc = replace(plan.coarse_cfg, n_symbols=m, mode=mode)
-        est = two_floor_sync(scene.received, scene.cfg, cc, plan.fine_cfg)
+        _, est = sync_trial(plan, snr, m, mode, 0, gi)
         tag = f"snr{snr:g}_m{m}_{mode}".replace("-", "m")
         _write_objective(out_dir / f"objective_coarse_{tag}.txt",
                          est.coarse_taus * 1e9, est.coarse_objective)
@@ -301,12 +296,7 @@ def cmd_demo(args) -> int:
     print(_snr_definition_line(plan))
 
     # Single trial, reported in ns, with both objective curves written out.
-    from .harness import build_trial_scene
-    from .sync import two_floor_sync
-
-    scene = build_trial_scene(plan, snr, args.m, args.mode, 0, 0)
-    cc = replace(plan.coarse_cfg, n_symbols=args.m, mode=args.mode)
-    est = two_floor_sync(scene.received, scene.cfg, cc, plan.fine_cfg)
+    scene, est = sync_trial(plan, snr, args.m, args.mode, 0, 0)
 
     t_s = scene.cfg.symbol_duration
     dtau = scene.delta_tau

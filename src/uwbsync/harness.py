@@ -15,9 +15,11 @@ from io import StringIO
 import numpy as np
 
 from .waveform import (
+    TH_CODE_ATTEMPTS,
     ConfigError,
     FrameConfig,
     SymbolSequence,
+    draw_th_code,
     generate_tx,  # not called; the benchmark tracer wraps it (ROADMAP benchmark note)
 )
 from .channel import (
@@ -27,7 +29,8 @@ from .channel import (
     propagate,
     single_path,
 )
-from .sync import CoarseConfig, FineConfig, training_pattern, two_floor_sync
+from .sync import (CoarseConfig, FineConfig, SyncEstimate, training_pattern,
+                   two_floor_sync)
 
 __all__ = [
     "ExperimentPlan",
@@ -35,6 +38,7 @@ __all__ = [
     "TrialResult",
     "TrialScene",
     "build_trial_scene",
+    "sync_trial",
     "wrapped_error",
     "run_trial",
     "run_sweep",
@@ -101,10 +105,20 @@ class ExperimentPlan:
         if not 0 < self.channel_max_delay < math.inf:
             raise ConfigError(f"max_delay_ns: {self.channel_max_delay!r} s "
                               "must be positive and finite")
+        # Each trial redraws its hopping code until no pulse leaks out of
+        # its frame (draw_th_code); the alphabet must make running out of
+        # draws negligible.
+        frame = self.frame_cfg
+        p_fit = (frame.n_fitting_chips / frame.n_chips) ** frame.n_frames_per_symbol
+        if (1.0 - p_fit) ** TH_CODE_ATTEMPTS > 1e-12:
+            raise ConfigError(
+                f"{frame.n_chips} chips, of which only {frame.n_fitting_chips} "
+                f"keep a pulse inside its frame: a trial could fail to draw a "
+                f"hopping code in {TH_CODE_ATTEMPTS} attempts", field="n_chips")
         if self.coarse_cfg.segment_origin is None:
             object.__setattr__(self, "coarse_cfg", replace(
                 self.coarse_cfg, segment_origin=self.frame_cfg.symbol_duration))
-        frame, fine = self.frame_cfg, self.fine_cfg
+        fine = self.fine_cfg
         self.coarse_cfg.grid_size(frame)
         origin = self.coarse_cfg.segment_origin
         if round(origin * frame.sample_rate) < frame.n_shift_samples:
@@ -199,26 +213,12 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
     """Draw one trial's randomness and synthesize its received record.
 
     Substreams: 0=TH code, 1=channel, 2=noise, 3=data bits, 4=timing
-    offset.  The TH code is redrawn (deterministically, same stream) until
-    it satisfies the no-leak frame constraint; with the default 35-chip
-    alphabet a uniform draw can place a pulse too close to the frame end.
+    offset.
     """
     ss = np.random.SeedSequence(entropy=plan.base_seed,
                                 spawn_key=(group_index, trial_index))
     s_code, s_channel, s_noise, s_bits, s_dtau = ss.spawn(5)
-
-    base_cfg = plan.frame_cfg
-    rng_code = np.random.default_rng(s_code)
-    for _ in range(1000):
-        code = rng_code.integers(0, base_cfg.n_chips,
-                                 size=base_cfg.n_frames_per_symbol)
-        try:
-            cfg = base_cfg.with_th_code(code)
-            break
-        except ConfigError:
-            continue
-    else:
-        raise ConfigError("could not draw a valid TH code in 1000 attempts")
+    cfg = draw_th_code(np.random.default_rng(s_code), plan.frame_cfg)
 
     if plan.channel_model == "cm1":
         ch = generate_cm1(s_channel, plan.channel_max_delay)
@@ -238,14 +238,21 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
     return TrialScene(cfg, ch, delta_tau, bits, r)
 
 
-def run_trial(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
-              trial_index: int, group_index: int) -> TrialResult:
-    """One Monte-Carlo realization of a sweep cell, both floors."""
+def sync_trial(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
+               trial_index: int, group_index: int) -> tuple[TrialScene, SyncEstimate]:
+    """Build one trial's scene and run both floors on its record."""
     scene = build_trial_scene(plan, snr_db, m, mode, trial_index, group_index)
     cc = replace(plan.coarse_cfg, n_symbols=m, mode=mode)
     est = two_floor_sync(scene.received, scene.cfg, cc, plan.fine_cfg)
     if abs(est.n_opt * plan.fine_cfg.fine_step) > plan.fine_cfg.t_corr + 1e-15:
         raise RuntimeError("fine estimate left the scan interval")
+    return scene, est
+
+
+def run_trial(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
+              trial_index: int, group_index: int) -> TrialResult:
+    """One Monte-Carlo realization of a sweep cell, both floors."""
+    scene, est = sync_trial(plan, snr_db, m, mode, trial_index, group_index)
     return TrialResult(est.tau1, est.tau2, scene.delta_tau)
 
 

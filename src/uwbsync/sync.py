@@ -30,8 +30,6 @@ __all__ = [
     "FineConfig",
     "SyncEstimate",
     "training_pattern",
-    "difference_template",
-    "dirty_correlation",
     "coarse_sync",
     "fine_sync",
     "two_floor_sync",
@@ -113,50 +111,6 @@ def training_pattern(k: int) -> int:
     if k < 0:
         raise ValueError("symbol index must be >= 0")
     return (k + 1) % 2
-
-
-def _segment_start(r: SampledWaveform, k: int, tau: float, cfg: FrameConfig) -> int:
-    return r.index_of(k * cfg.symbol_duration + tau)
-
-
-def difference_template(r: SampledWaveform, k: int, tau: float, cfg: FrameConfig,
-                        ppm_shift: float | None = None) -> SampledWaveform:
-    """PPM difference template of segment k: r_k(t + d) - r_k(t - d).
-
-    The segment is the symbol-long window of ``r`` starting at
-    k*T_s + tau; the shift d defaults to the configured PPM shift.  The
-    caller must provide guard samples, since the template reads d beyond
-    both segment ends.
-    """
-    shift = cfg.ppm_shift if ppm_shift is None else ppm_shift
-    n_d = int(round(shift * cfg.sample_rate))
-    n_s = cfg.n_symbol_samples
-    i0 = _segment_start(r, k, tau, cfg)
-    lo, hi = i0 - n_d, i0 + n_s + n_d
-    if lo < 0 or hi > len(r.samples):
-        raise ValueError(
-            f"segment k={k}, tau={tau!r} needs samples [{lo}, {hi}) outside "
-            f"the record of length {len(r.samples)}; provide guard symbols"
-        )
-    plus = r.samples[i0 + n_d:i0 + n_d + n_s]
-    minus = r.samples[i0 - n_d:i0 - n_d + n_s]
-    return SampledWaveform(plus - minus, r.sample_rate, 0.0)
-
-
-def dirty_correlation(r: SampledWaveform, k: int, tau: float,
-                      cfg: FrameConfig) -> float:
-    """Correlation of segment k+1 against segment k's difference template.
-
-    Riemann sum of the symbol-long product; the blind acquisition
-    statistic is built from these values.
-    """
-    template = difference_template(r, k, tau, cfg)
-    n_s = cfg.n_symbol_samples
-    i1 = _segment_start(r, k + 1, tau, cfg)
-    if i1 < 0 or i1 + n_s > len(r.samples):
-        raise ValueError("segment k+1 outside the record; provide guard symbols")
-    seg = r.samples[i1:i1 + n_s]
-    return float(np.sum(seg * template.samples) / cfg.sample_rate)
 
 
 def _pattern_signs(m: int) -> np.ndarray:

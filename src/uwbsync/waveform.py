@@ -8,6 +8,7 @@ grid so that shift properties are sample-exact and testable.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -21,7 +22,7 @@ __all__ = [
     "SymbolSequence",
     "monocycle",
     "sampled_monocycle",
-    "make_th_code",
+    "draw_th_code",
     "place_symbols",
     "generate_tx",
 ]
@@ -34,6 +35,9 @@ DEFAULT_SAMPLE_RATE = 50e9
 SHAPE_RATIO = 2.5
 
 _GRID_TOL = 1e-6
+
+# Draws of a hopping code before a trial gives up (see draw_th_code).
+TH_CODE_ATTEMPTS = 1000
 
 
 class ConfigError(ValueError):
@@ -108,13 +112,21 @@ class FrameConfig:
                 raise ConfigError(
                     f"th_code[{i}] = {c} outside [0, {self.n_chips - 1}]"
                 )
-            leak = c * self.chip_duration + self.ppm_shift + self.pulse_duration
-            if leak > self.frame_duration + _GRID_TOL / self.sample_rate:
+            if self._leaks(c):
                 raise ConfigError(
-                    f"th_code[{i}] = {c}: pulse would leak out of its frame "
-                    f"({leak * 1e9:.3f} ns > frame_duration "
-                    f"{self.frame_duration * 1e9:.3f} ns)", field="frame_duration"
+                    f"th_code[{i}] = {c}: pulse would leak out of its "
+                    f"{self.frame_duration * 1e9:.3f} ns frame", field="frame_duration"
                 )
+
+    def _leaks(self, chip: int) -> bool:
+        """Whether a PPM-shifted pulse at ``chip`` ends past its frame."""
+        end = chip * self.chip_duration + self.ppm_shift + self.pulse_duration
+        return end > self.frame_duration + _GRID_TOL / self.sample_rate
+
+    @property
+    def n_fitting_chips(self) -> int:
+        """How many of the chips 0, 1, ... keep every pulse inside its frame."""
+        return bisect.bisect_left(range(self.n_chips), True, key=self._leaks)
 
     @property
     def symbol_duration(self) -> float:
@@ -171,28 +183,16 @@ class SampledWaveform:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
     def index_of(self, t: float) -> int:
         """Nearest sample index for time ``t``."""
         return int(round((t - self.t_start) * self.sample_rate))
 
-    def energy(self) -> float:
-        """Riemann-sum energy, sum(x^2) / sample_rate."""
-        return float(np.sum(self.samples * self.samples) / self.sample_rate)
-
-    def scaled(self, factor: float) -> "SampledWaveform":
-        return SampledWaveform(self.samples * factor, self.sample_rate, self.t_start)
-
 
 @dataclass(frozen=True)
 class SymbolSequence:
-    """A sequence of {0,1} data bits with a provenance tag."""
+    """A sequence of {0,1} data bits."""
 
     bits: tuple[int, ...]
-    source: str = "fixed"
 
     def __post_init__(self):
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
@@ -207,12 +207,12 @@ class SymbolSequence:
 
     @classmethod
     def fixed(cls, bits) -> "SymbolSequence":
-        return cls(tuple(bits), source="fixed")
+        return cls(tuple(bits))
 
     @classmethod
     def random(cls, n: int, seed) -> "SymbolSequence":
         rng = np.random.default_rng(seed)
-        return cls(tuple(rng.integers(0, 2, size=n).tolist()), source="random")
+        return cls(tuple(rng.integers(0, 2, size=n).tolist()))
 
 
 @lru_cache(maxsize=32)
@@ -270,17 +270,21 @@ def sampled_monocycle(pulse_duration: float,
     return _sampled_monocycle_cached(float(pulse_duration), float(sample_rate))
 
 
-def make_th_code(seed, cfg: FrameConfig) -> tuple[int, ...]:
-    """Draw a random TH code, i.i.d. uniform on {0, ..., n_chips - 1}.
+def draw_th_code(rng: np.random.Generator, cfg: FrameConfig) -> FrameConfig:
+    """Copy of ``cfg`` with a hopping code drawn from ``rng``.
 
-    The draw itself is unconstrained; codes whose pulses would leak out of
-    their frame are rejected later, at FrameConfig validation.
+    Chips are i.i.d. uniform on {0, ..., n_chips - 1}.  A code that would
+    push a pulse out of its frame is redrawn from the same stream, up to
+    TH_CODE_ATTEMPTS times, so the code is uniform over the fitting chips.
     """
-    if cfg.n_chips < 1:
-        raise ConfigError("n_chips must be >= 1")
-    rng = np.random.default_rng(seed)
-    code = rng.integers(0, cfg.n_chips, size=cfg.n_frames_per_symbol)
-    return tuple(int(c) for c in code)
+    for _ in range(TH_CODE_ATTEMPTS):
+        code = rng.integers(0, cfg.n_chips, size=cfg.n_frames_per_symbol)
+        try:
+            return cfg.with_th_code(code)
+        except ConfigError:
+            continue
+    raise ConfigError(f"could not draw a valid TH code in {TH_CODE_ATTEMPTS} "
+                      "attempts", field="n_chips")
 
 
 def place_symbols(symbols: SymbolSequence, wave: np.ndarray, cfg: FrameConfig,
@@ -309,8 +313,6 @@ def generate_tx(symbols: SymbolSequence, cfg: FrameConfig) -> SampledWaveform:
     data bit of 1 shifts all pulses of its symbol by the PPM shift.
     Pulses never overlap, so placing one bit-0 symbol per bit is exact.
     """
-    if not isinstance(symbols, SymbolSequence):
-        symbols = SymbolSequence.fixed(symbols)
     n_sym = cfg.n_symbol_samples
     pulse = sampled_monocycle(cfg.pulse_duration, cfg.sample_rate)
     pulse = pulse * math.sqrt(cfg.pulse_energy)

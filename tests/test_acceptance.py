@@ -18,6 +18,7 @@ from uwbsync import (
     ExperimentPlan,
     FineConfig,
     LinkParams,
+    SampledWaveform,
     SymbolSequence,
     aggregate_template,
     coarse_sync,
@@ -33,7 +34,8 @@ from uwbsync import (
     wrapped_error,
 )
 from uwbsync.cli import load_plan, main
-from uwbsync.defaults import default_frame_config
+
+from oracles import FRAME
 
 TS = 1120e-9
 
@@ -77,7 +79,7 @@ def noiseless_trials():
     """Criterion 1 runs: single-path, no noise, DA, M=16, 50 uniform
     offsets; the frame format (and its fixed hopping code) is the
     shipped default."""
-    cfg = default_frame_config()
+    cfg = FRAME
     plan = ExperimentPlan()
     cc = CoarseConfig(n_symbols=16, mode="da")
     fc = plan.fine_cfg
@@ -131,7 +133,7 @@ class TestCriterion01NoiselessRecovery:
 
 class TestCriterion02EnergyIdentity:
     def test_partial_energies_reassemble(self):
-        cfg = default_frame_config()
+        cfg = FRAME
         rng = np.random.default_rng(42)
         t0 = time.time()
         worst = 0.0
@@ -153,7 +155,7 @@ class TestCriterion02EnergyIdentity:
 
 class TestCriterion03ObjectivePeak:
     def test_noiseless_nda_argmax_near_truth(self):
-        cfg = default_frame_config()
+        cfg = FRAME
         cc = CoarseConfig(n_symbols=64, mode="nda")
         rng = np.random.default_rng(7)
         hits = 0
@@ -260,7 +262,7 @@ class TestCriterion09Determinism:
 
 class TestCriterion10ScaleInvariance:
     def test_argmax_invariant_to_amplitude(self):
-        cfg = default_frame_config()
+        cfg = FRAME
         plan = ExperimentPlan()
         cc = CoarseConfig(n_symbols=8, mode="nda")
         fc = plan.fine_cfg
@@ -272,7 +274,8 @@ class TestCriterion10ScaleInvariance:
             r = propagate(bits, ch, LinkParams(dtau, 10.0, 60_000 + trial), cfg)
             ref = two_floor_sync(r, cfg, cc, fc)
             for scale in (1e-3, 1e3):
-                est = two_floor_sync(r.scaled(scale), cfg, cc, fc)
+                scaled = SampledWaveform(r.samples * scale, r.sample_rate, r.t_start)
+                est = two_floor_sync(scaled, cfg, cc, fc)
                 assert est.tau1 == ref.tau1
                 assert est.n_opt == ref.n_opt
                 assert est.tau2 == ref.tau2

@@ -17,8 +17,6 @@ from uwbsync import (
     LinkParams,
     SymbolSequence,
     aggregate_template,
-    dirty_correlation,
-    from_taps,
     generate_cm1,
     generate_tx,
     partial_energies,
@@ -29,7 +27,8 @@ from uwbsync import (
     taps_to_text,
 )
 from uwbsync.channel import _apply_taps, noise_std, snr_ref_samples
-from uwbsync.defaults import default_frame_config
+
+from oracles import FRAME, dirty_correlation, energy
 
 BITS = st.lists(st.integers(0, 1), min_size=1, max_size=5)
 # Hopping codes up to chip 33, the last one a bit-1 pulse can use, so a
@@ -41,7 +40,7 @@ OFFSETS = st.integers(0, 55_999).map(lambda n: n / 50e9)
 
 @pytest.fixture(scope="module")
 def cfg():
-    return default_frame_config()
+    return FRAME
 
 
 def taps_over_train(bits, ch, offset, cfg):
@@ -95,7 +94,7 @@ class TestRealizations:
 
     def test_rejects_unnormalized_taps(self):
         with pytest.raises(ConfigError):
-            from_taps([(1.0, 0.0), (1.0, 1e-9)])
+            ChannelRealization((1.0, 1.0), (0.0, 1e-9))
 
     def test_rejects_nonzero_first_delay(self):
         with pytest.raises(ConfigError):
@@ -136,12 +135,11 @@ class TestPropagate:
         # A normalized channel whose taps are separated by more than the
         # pulse width adds no cross terms: energy passes through intact.
         gains = np.full(5, 1.0 / math.sqrt(5.0))
-        taps = [(float(g), i * 2e-9) for i, g in enumerate(gains)]
-        ch = from_taps(taps)
+        ch = ChannelRealization(tuple(gains), tuple(i * 2e-9 for i in range(5)))
         bits = SymbolSequence.fixed([0, 1, 1, 0])
         tx = generate_tx(bits, cfg)
         out = propagate(bits, ch, LinkParams(0.0, math.inf, 0), cfg)
-        assert out.energy() == pytest.approx(tx.energy(), rel=5e-3)
+        assert energy(out) == pytest.approx(energy(tx), rel=5e-3)
 
     def test_cm1_energy_consistent_with_template(self, cfg):
         # With overlapping rays the energy deviates from the input by the
@@ -150,9 +148,9 @@ class TestPropagate:
         tx = generate_tx(bits, cfg)
         ch = generate_cm1(3)
         out = propagate(bits, ch, LinkParams(0.0, math.inf, 0), cfg)
-        template_ratio = aggregate_template(ch, cfg).energy() / (
+        template_ratio = energy(aggregate_template(ch, cfg)) / (
             cfg.n_frames_per_symbol * cfg.pulse_energy)
-        assert out.energy() / tx.energy() == pytest.approx(template_ratio, rel=1e-9)
+        assert energy(out) / energy(tx) == pytest.approx(template_ratio, rel=1e-9)
 
     def test_rejects_offset_outside_symbol(self, cfg):
         bits = SymbolSequence.fixed([0])
@@ -251,13 +249,13 @@ class TestAggregateTemplate:
         energies = []
         for off in (0.0, 13.7e-9, 411.3e-9):
             out = propagate(bits, ch, LinkParams(off, math.inf, 0), cfg)
-            energies.append(out.energy())
+            energies.append(energy(out))
         assert max(energies) - min(energies) <= 1e-6 * max(energies)
 
     def test_mean_template_energy_matches_pulse_count(self, cfg):
         # Per realization the energy fluctuates with ray-overlap cross
         # terms; the seed average sits at pulse count x pulse energy.
-        vals = [aggregate_template(generate_cm1(s), cfg).energy()
+        vals = [energy(aggregate_template(generate_cm1(s), cfg))
                 for s in range(60)]
         mean = float(np.mean(vals))
         expected = cfg.n_frames_per_symbol * cfg.pulse_energy
@@ -268,7 +266,7 @@ class TestAggregateTemplate:
         # shifted copies of the single-path template, sample-exact.
         g = 1.0 / math.sqrt(2.0)
         d = 2 * cfg.frame_duration
-        ch = from_taps([(g, 0.0), (g, d)])
+        ch = ChannelRealization((g, g), (0.0, d))
         t = aggregate_template(ch, cfg)
         base = aggregate_template(single_path(), cfg)
         n = int(round(d * cfg.sample_rate))
@@ -339,7 +337,7 @@ def test_symbol_long_energies_call_no_blas(cfg, monkeypatch):
         raise AssertionError("BLAS call")
     monkeypatch.setattr(np, "dot", no_blas)
     partial_energies(t, 400e-9, cfg.symbol_duration)
-    t.energy()
+    energy(t)
     dirty_correlation(r, 1, 300e-9, cfg)
 
 

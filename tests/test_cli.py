@@ -111,6 +111,8 @@ class TestConfig:
         ("[coarse]\nsegment_origin_ns = 0", "segment_origin_ns"),  # before the PPM shift
         ("[coarse]\nsegment_origin_ns = -5", "segment_origin_ns"),
         ("[fine]\nt_corr_ns = 1500", "t_corr_ns"),  # scan passes its one-symbol guard
+        ("[frame]\nn_chips = 39", "n_chips"),  # a code draw fits too rarely
+        ("[frame]\nn_chips = 45", "n_chips"),
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, text, key):
         path = tmp_path / "bad.cfg"

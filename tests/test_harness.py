@@ -10,6 +10,7 @@ from uwbsync import (
     ConfigError,
     ExperimentPlan,
     FineConfig,
+    FrameConfig,
     MseRecord,
     records_to_csv,
     run_sweep,
@@ -57,6 +58,15 @@ class TestPlanGuards:
         with pytest.raises(ConfigError, match="one-symbol guard") as exc:
             ExperimentPlan(fine_cfg=FineConfig(t_corr=1121.5 * step, fine_step=step))
         assert exc.value.field == "t_corr"
+
+    def test_chip_alphabet_must_let_trials_draw_a_code(self):
+        # 34 of the chips fit a 35 ns frame.  At 38 chips all 1000 draws of
+        # a trial fail with probability 2.9e-13, at 39 with 3.8e-6.
+        for n_chips in (35, 36, 38):
+            ExperimentPlan(frame_cfg=FrameConfig(n_chips=n_chips))
+        with pytest.raises(ConfigError, match="1000 attempts") as exc:
+            ExperimentPlan(frame_cfg=FrameConfig(n_chips=39))
+        assert exc.value.field == "n_chips"
 
 
 class TestRunTrial:

@@ -10,15 +10,18 @@ from scipy import stats
 
 from uwbsync import (
     ConfigError,
+    ExperimentPlan,
     FrameConfig,
     SampledWaveform,
     SymbolSequence,
+    draw_th_code,
     generate_tx,
-    make_th_code,
     monocycle,
     sampled_monocycle,
 )
-from uwbsync.defaults import default_frame_config
+from uwbsync.harness import build_trial_scene
+
+from oracles import FRAME, energy
 
 FS = 50e9
 TP = 0.8e-9
@@ -62,7 +65,7 @@ class TestMonocycle:
 
 class TestFrameConfig:
     def test_symbol_duration_exact(self):
-        cfg = default_frame_config()
+        cfg = FRAME
         assert cfg.symbol_duration == cfg.n_frames_per_symbol * cfg.frame_duration
 
     def test_rejects_code_outside_alphabet(self):
@@ -84,26 +87,45 @@ class TestFrameConfig:
             FrameConfig(th_code=(0, 1, 2))
 
 
+def th_code(seed, cfg=FRAME):
+    return draw_th_code(np.random.default_rng(seed), cfg).th_code
+
+
 class TestThCode:
     def test_single_chip_alphabet_gives_all_zero(self):
         cfg = FrameConfig(n_chips=1, th_code=tuple([0] * 32))
-        assert make_th_code(3, cfg) == tuple([0] * 32)
+        assert th_code(3, cfg) == tuple([0] * 32)
 
     def test_deterministic_per_seed(self):
-        cfg = default_frame_config()
-        assert make_th_code(11, cfg) == make_th_code(11, cfg)
-        assert make_th_code(11, cfg) != make_th_code(12, cfg)
+        assert th_code(11) == th_code(11)
+        assert th_code(11) != th_code(12)
+
+    def test_fixture_code_is_the_seed_0_draw(self):
+        assert FRAME.th_code == (29, 22, 17, 9, 10, 1, 2, 0, 6, 28, 22, 31, 17, 21,
+                                 33, 25, 22, 19, 19, 32, 9, 28, 23, 0, 13, 30, 19,
+                                 1, 26, 25, 29, 6)
+
+    def test_trials_draw_through_draw_th_code(self):
+        plan = ExperimentPlan(channel_model="single_path")
+        scene = build_trial_scene(plan, math.inf, 8, "nda", 3, 1)
+        ss = np.random.SeedSequence(entropy=plan.base_seed, spawn_key=(1, 3))
+        assert scene.cfg == draw_th_code(np.random.default_rng(ss.spawn(1)[0]),
+                                         plan.frame_cfg)
 
     def test_uniformity_chi_squared(self):
-        # 1e4 codes of length 32 over 35 chips; chi^2 at the 1% level.
-        cfg = default_frame_config()
+        # 1e4 codes of length 32; a chip from 34 on would push a bit-1
+        # pulse out of its frame, so codes are uniform over the 34 below
+        # it.  chi^2 at the 1% level.
         draws = np.concatenate([
-            np.asarray(make_th_code(seed, cfg)) for seed in range(7, 7 + 10_000)
+            np.asarray(th_code(seed)) for seed in range(7, 7 + 10_000)
         ])
-        counts = np.bincount(draws, minlength=cfg.n_chips)
-        expected = len(draws) / cfg.n_chips
-        chi2 = float(np.sum((counts - expected) ** 2 / expected))
-        threshold = stats.chi2.ppf(0.99, df=cfg.n_chips - 1)
+        fit = FRAME.n_fitting_chips
+        assert fit == 34
+        counts = np.bincount(draws, minlength=FRAME.n_chips)
+        assert counts[fit:].sum() == 0
+        expected = len(draws) / fit
+        chi2 = float(np.sum((counts[:fit] - expected) ** 2 / expected))
+        threshold = stats.chi2.ppf(0.99, df=fit - 1)
         assert chi2 < threshold
 
 
@@ -119,7 +141,7 @@ class TestGenerateTx:
         assert np.array_equal(tx.samples, expected)
 
     def test_ppm_shift_is_sample_exact(self):
-        cfg = default_frame_config()
+        cfg = FRAME
         tx0 = generate_tx(SymbolSequence.fixed([0]), cfg)
         tx1 = generate_tx(SymbolSequence.fixed([1]), cfg)
         n = cfg.n_shift_samples
@@ -127,14 +149,14 @@ class TestGenerateTx:
         assert np.all(tx1.samples[:n] == 0.0)
 
     def test_energy_scales_with_pulse_count(self):
-        cfg = default_frame_config()
+        cfg = FRAME
         k = 4
         tx = generate_tx(SymbolSequence.random(k, 99), cfg)
         expected = k * cfg.n_frames_per_symbol * cfg.pulse_energy
-        assert tx.energy() == pytest.approx(expected, rel=1e-3)
+        assert energy(tx) == pytest.approx(expected, rel=1e-3)
 
     def test_per_frame_energy_no_leakage(self):
-        cfg = default_frame_config()
+        cfg = FRAME
         tx = generate_tx(SymbolSequence.fixed([1]), cfg)
         nf = cfg.n_frame_samples
         for i in range(cfg.n_frames_per_symbol):
@@ -143,7 +165,7 @@ class TestGenerateTx:
             assert energy == pytest.approx(cfg.pulse_energy, rel=1e-3)
 
     def test_deterministic(self):
-        cfg = default_frame_config()
+        cfg = FRAME
         bits = SymbolSequence.random(3, 5)
         a = generate_tx(bits, cfg)
         b = generate_tx(bits, cfg)
@@ -156,7 +178,7 @@ class TestGenerateTx:
     def test_matches_per_pulse_loop(self, bits, code_seed, energy):
         # Oracle: one pulse added per (symbol, frame) into a zero record.
         # Codes reach the last chip a bit-1 pulse can use without leaking.
-        cfg = replace(default_frame_config(), pulse_energy=energy)
+        cfg = replace(FRAME, pulse_energy=energy)
         code = np.random.default_rng(code_seed).integers(0, 34, 32)
         cfg = cfg.with_th_code(code)
         pulse = sampled_monocycle(cfg.pulse_duration, cfg.sample_rate)
@@ -172,7 +194,7 @@ class TestGenerateTx:
         assert tx.samples.tobytes() == expected.tobytes()
 
     def test_output_length(self):
-        cfg = default_frame_config()
+        cfg = FRAME
         tx = generate_tx(SymbolSequence.random(5, 1), cfg)
         assert len(tx.samples) == 5 * cfg.n_symbol_samples
 
@@ -187,10 +209,6 @@ class TestSampledWaveform:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SampledWaveform(np.array([0.0, np.nan]), FS)
-
-    def test_duration(self):
-        w = SampledWaveform(np.zeros(100), FS)
-        assert w.duration == pytest.approx(100 / FS)
 
     def test_index_of_uses_origin(self):
         w = SampledWaveform(np.zeros(100), FS, t_start=1e-9)
