@@ -213,7 +213,7 @@ def aggregate_template(ch: ChannelRealization, cfg: FrameConfig) -> SampledWavef
     """
     tx1 = generate_tx(SymbolSequence.fixed([0]), cfg)
     return SampledWaveform(_apply_taps(tx1.samples, ch, cfg.sample_rate),
-                           cfg.sample_rate, 0.0)
+                           cfg.sample_rate)
 
 
 def partial_energies(p_r: SampledWaveform, tau: float,
@@ -278,7 +278,7 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, link: LinkParams,
         noisy *= sigma
         noisy += out
         out = noisy
-    return SampledWaveform(out, fs, 0.0)
+    return SampledWaveform(out, fs)
 
 
 def rms_delay_spread(ch: ChannelRealization) -> float:

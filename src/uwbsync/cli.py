@@ -159,8 +159,7 @@ def load_plan(path) -> ExperimentPlan:
     """Parse and validate a config file into a fully resolved plan.
 
     Unknown sections or keys are configuration errors: a misspelled key
-    should fail loudly, not silently fall back to a default.  The frame's
-    hopping code is all zeros; trials draw their own codes.
+    should fail loudly, not silently fall back to a default.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not parser.read(path):
@@ -184,11 +183,9 @@ def load_plan(path) -> ExperimentPlan:
             values[owner][name] = _parse(key, unit, parser.get(section, key))
     top = values[""]
     top["base_seed"] = _env_seed(top.get("base_seed", ExperimentPlan.base_seed))
-    frame = values["frame_cfg"]
-    n_frames = frame.get("n_frames_per_symbol", FrameConfig.n_frames_per_symbol)
     try:
         return ExperimentPlan(
-            frame_cfg=FrameConfig(th_code=(0,) * n_frames, **frame),
+            frame_cfg=FrameConfig(**values["frame_cfg"]),
             coarse_cfg=CoarseConfig(**values["coarse_cfg"]),
             fine_cfg=FineConfig(**values["fine_cfg"]),
             **top,
@@ -283,10 +280,6 @@ def cmd_demo(args) -> int:
         seed = _env_seed(args.seed)  # env > --seed > config
         if seed is not None:
             plan = replace(plan, base_seed=seed)
-        if args.mode not in ("nda", "da"):
-            raise ConfigError(f"mode must be nda or da, got {args.mode!r}")
-        if args.m < 1:
-            raise ConfigError("m must be >= 1")
         snr = _parse("snr", "dB", args.snr)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -355,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run and inspect a single trial")
     p_demo.add_argument("--snr", default="inf", help="SNR in dB, or 'inf'")
-    p_demo.add_argument("--m", type=int, default=16, help="observation symbols M")
-    p_demo.add_argument("--mode", default="da", help="nda or da")
+    p_demo.add_argument("--m", type=_whole_number_arg(1), default=16,
+                        help="observation symbols M")
+    p_demo.add_argument("--mode", choices=("nda", "da"), default="da")
     p_demo.add_argument("--seed", type=_whole_number_arg(0), default=None,
                         help="base seed (default: the config's)")
     p_demo.add_argument("--config", default=None, help="optional config file")

@@ -29,8 +29,8 @@ from .channel import (
     propagate,
     single_path,
 )
-from .sync import (CoarseConfig, FineConfig, SyncEstimate, training_pattern,
-                   two_floor_sync)
+from .sync import (CoarseConfig, FineConfig, SyncEstimate, coarse_extent,
+                   fine_extent, training_pattern, two_floor_sync)
 
 __all__ = [
     "ExperimentPlan",
@@ -57,8 +57,8 @@ class ExperimentPlan:
     """A full sweep: grids, trial count, seed, and module configs.
 
     These field defaults are the only defaults of the sweep config keys.
-    A plan is resolved on construction: a ``coarse_cfg.segment_origin``
-    of None becomes one symbol duration of ``frame_cfg``.
+    A plan is resolved on construction: ``coarse_cfg.segment_origin``
+    becomes its ``origin`` in ``frame_cfg``.
     """
 
     snr_grid_db: tuple[float, ...] = (0.0, 4.0, 8.0, 12.0, 16.0)
@@ -115,9 +115,8 @@ class ExperimentPlan:
                 f"{frame.n_chips} chips, of which only {frame.n_fitting_chips} "
                 f"keep a pulse inside its frame: a trial could fail to draw a "
                 f"hopping code in {TH_CODE_ATTEMPTS} attempts", field="n_chips")
-        if self.coarse_cfg.segment_origin is None:
-            object.__setattr__(self, "coarse_cfg", replace(
-                self.coarse_cfg, segment_origin=self.frame_cfg.symbol_duration))
+        object.__setattr__(self, "coarse_cfg", replace(
+            self.coarse_cfg, segment_origin=self.coarse_cfg.origin(frame)))
         fine = self.fine_cfg
         self.coarse_cfg.grid_size(frame)
         origin = self.coarse_cfg.segment_origin
@@ -127,14 +126,14 @@ class ExperimentPlan:
                 f"than the PPM shift {frame.ppm_shift!r} s the coarse floor "
                 f"reads back", field="segment_origin")
         # The fine scan's guard is one symbol: at tau1 = 0 and a code
-        # starting at chip 0, its most negative candidate must not pass
-        # sample 0 (fine_sync rounds offsets the same way).
-        reach = round((fine.n_steps - 1) * fine.fine_step * frame.sample_rate)
-        if reach > frame.n_symbol_samples:
+        # starting at chip 0, its first window must not start before sample 0.
+        n_s = frame.n_symbol_samples
+        lo, _ = fine_extent(replace(frame, th_code=None), fine, 0.0)
+        if lo < 0:
             raise ConfigError(
-                f"t_corr {fine.t_corr!r} s: the fine scan reaches {reach} "
+                f"t_corr {fine.t_corr!r} s: the fine scan reaches {n_s - lo} "
                 f"samples before the coarse estimate, past its one-symbol "
-                f"guard of {frame.n_symbol_samples} samples", field="t_corr")
+                f"guard of {n_s} samples", field="t_corr")
 
     def groups(self):
         """Deterministic enumeration of (snr, m, mode) trial groups."""
@@ -178,30 +177,12 @@ def wrapped_error(tau_hat: float, delta_tau: float, t_symbol: float) -> float:
     return e
 
 
-def _total_symbols(m: int, plan: ExperimentPlan) -> int:
-    """Record length in symbols: observation plus edge guards.
-
-    Both floors read beyond the nominal M-symbol span (difference
-    templates reach +-delta, the fine scan reads a two-symbol lag), so
-    the record carries the averaging depth plus three guard symbols,
-    and the whole symbols by which the coarse segment origin lies past
-    the first.
-    """
-    cfg = plan.frame_cfg
-    k_avg = plan.fine_cfg.n_symbols_avg
-    scan_sym = int(math.ceil(plan.fine_cfg.t_corr / cfg.symbol_duration))
-    guard = max(int(math.ceil(k_avg / cfg.n_frames_per_symbol)) + 3,
-                k_avg + 4 + scan_sym - m)
-    n_s = cfg.n_symbol_samples
-    past_first = round(plan.coarse_cfg.segment_origin * cfg.sample_rate) - n_s
-    return m + guard + max(0, -(-past_first // n_s))
-
-
 @dataclass(frozen=True)
 class TrialScene:
-    """Everything one trial draws before the estimators run."""
+    """What one trial draws, and its coarse config, before the floors run."""
 
     cfg: object
+    coarse_cfg: CoarseConfig
     channel: object
     delta_tau: float
     bits: SymbolSequence
@@ -213,7 +194,9 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
     """Draw one trial's randomness and synthesize its received record.
 
     Substreams: 0=TH code, 1=channel, 2=noise, 3=data bits, 4=timing
-    offset.
+    offset.  The record holds the fewest whole symbols that cover the
+    furthest sample either floor reads, the fine floor's at the last
+    coarse candidate.
     """
     ss = np.random.SeedSequence(entropy=plan.base_seed,
                                 spawn_key=(group_index, trial_index))
@@ -227,7 +210,10 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
 
     delta_tau = float(np.random.default_rng(s_dtau).uniform(0.0, cfg.symbol_duration))
 
-    k_total = _total_symbols(m, plan)
+    cc = replace(plan.coarse_cfg, n_symbols=m, mode=mode)
+    last_tau1 = (cc.grid_size(cfg) - 1) * cc.search_step
+    extent = max(coarse_extent(cfg, cc), fine_extent(cfg, plan.fine_cfg, last_tau1)[1])
+    k_total = -(-extent // cfg.n_symbol_samples)
     if mode == "da":
         bits = SymbolSequence.fixed([training_pattern(k) for k in range(k_total)])
     else:
@@ -235,15 +221,14 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
 
     link = LinkParams(timing_offset=delta_tau, snr_db=snr_db, noise_seed=s_noise)
     r = propagate(bits, ch, link, cfg)
-    return TrialScene(cfg, ch, delta_tau, bits, r)
+    return TrialScene(cfg, cc, ch, delta_tau, bits, r)
 
 
 def sync_trial(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
                trial_index: int, group_index: int) -> tuple[TrialScene, SyncEstimate]:
     """Build one trial's scene and run both floors on its record."""
     scene = build_trial_scene(plan, snr_db, m, mode, trial_index, group_index)
-    cc = replace(plan.coarse_cfg, n_symbols=m, mode=mode)
-    est = two_floor_sync(scene.received, scene.cfg, cc, plan.fine_cfg)
+    est = two_floor_sync(scene.received, scene.cfg, scene.coarse_cfg, plan.fine_cfg)
     if abs(est.n_opt * plan.fine_cfg.fine_step) > plan.fine_cfg.t_corr + 1e-15:
         raise RuntimeError("fine estimate left the scan interval")
     return scene, est

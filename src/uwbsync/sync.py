@@ -19,7 +19,7 @@ the coarse grid quantization and adjacent-frame coarse misses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,8 @@ __all__ = [
     "FineConfig",
     "SyncEstimate",
     "training_pattern",
+    "coarse_extent",
+    "fine_extent",
     "coarse_sync",
     "fine_sync",
     "two_floor_sync",
@@ -119,6 +121,32 @@ def _pattern_signs(m: int) -> np.ndarray:
     return np.where(k % 2 == 0, 1.0, -1.0)
 
 
+def coarse_extent(cfg: FrameConfig, cc: CoarseConfig) -> int:
+    """Samples the coarse floor reads from the record start: up to the end
+    of the last candidate's (M+1)-th segment."""
+    n_s = cfg.n_symbol_samples
+    n_grid = cc.grid_size(cfg)
+    origin_idx = round(cc.origin(cfg) * cfg.sample_rate)
+    return origin_idx + (cc.n_symbols + 1) * n_s + (n_grid - 1) * (n_s // n_grid)
+
+
+def fine_extent(cfg: FrameConfig, fc: FineConfig, tau1: float) -> tuple[int, int]:
+    """Samples [lo, hi) the fine floor reads around the coarse estimate tau1.
+
+    The scan is centred one symbol past tau1, a guard for candidates up to
+    one symbol back (ExperimentPlan checks t_corr for that); each window
+    is read again two symbols on.
+    """
+    n_s = cfg.n_symbol_samples
+    base = round((tau1 + cfg.symbol_duration) * cfg.sample_rate)
+    reach = round((fc.n_steps - 1) * fc.fine_step * cfg.sample_rate)
+    frame_pos = cfg.frame_start_samples()
+    lo = base - reach + int(frame_pos.min())
+    hi = (base + reach + (fc.n_symbols_avg + 1) * n_s + int(frame_pos.max())
+          + cfg.n_pulse_samples + cfg.n_shift_samples)
+    return lo, hi
+
+
 def coarse_sync(r: SampledWaveform, cfg: FrameConfig,
                 cc: CoarseConfig) -> tuple[float, np.ndarray]:
     """Blind coarse acquisition over the offset grid in [0, T_s).
@@ -140,7 +168,7 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig,
     origin_idx = r.index_of(cc.origin(cfg))
 
     x = r.samples
-    need = origin_idx + (m + 1) * n_s + (n_grid - 1) * step_samples
+    need = coarse_extent(cfg, cc)
     if origin_idx < n_d:
         raise ValueError(
             f"segment origin at sample {origin_idx} is closer to the record "
@@ -198,29 +226,22 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     offsets = np.arange(-n_cand + 1, n_cand)
     x = r.samples
     k_avg = fc.n_symbols_avg
-
-    # Guard origin of one symbol keeps the most negative candidate inside
-    # the record for any tau1 in [0, T_s) while the scan reaches at most
-    # one symbol back (ExperimentPlan checks t_corr for that).
+    lo, hi = fine_extent(cfg, fc, tau1)
+    if lo < 0 or hi > len(x):
+        raise ValueError(
+            f"fine scan needs samples [{lo}, {hi}) beyond the record "
+            f"({len(x)} samples); extend the record"
+        )
     base = r.index_of(tau1 + cfg.symbol_duration)
     off_samples = np.round(offsets * fc.fine_step * fs).astype(np.int64)
-
     lag = 2 * n_s
     window = cfg.n_pulse_samples + cfg.n_shift_samples
     frame_pos = cfg.frame_start_samples()
-    lo = base + int(off_samples.min()) + int(frame_pos.min())
-    hi = (base + int(off_samples.max()) + (k_avg - 1) * n_s
-          + int(frame_pos.max()) + window)
-    if lo < 0 or hi > len(x) - lag:
-        raise ValueError(
-            f"fine scan needs samples [{lo}, {hi}) beyond the record "
-            f"({len(x) - lag} lagged products); extend the record"
-        )
     # Lagged products and their prefix sum up to the last window end read;
     # w[j] is the sum of the window starting at j.
-    csum = np.empty(hi + 1)
+    csum = np.empty(hi - lag + 1)
     csum[0] = 0.0
-    np.multiply(x[:hi], x[lag:lag + hi], out=csum[1:])
+    np.multiply(x[:hi - lag], x[lag:hi], out=csum[1:])
     np.cumsum(csum[1:], out=csum[1:])
     w = csum[window:] - csum[:-window]
     # One (candidate, frame) index of window starts serves every symbol:

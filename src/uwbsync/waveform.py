@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -68,7 +68,7 @@ class FrameConfig:
 
     A symbol spans ``n_frames_per_symbol`` frames; each frame carries one
     pulse offset by ``th_code[i]`` chips plus the PPM shift when the data
-    bit is 1.
+    bit is 1.  The code defaults to all zeros.
     """
 
     n_frames_per_symbol: int = 32
@@ -78,11 +78,12 @@ class FrameConfig:
     ppm_shift: float = 1e-9
     pulse_duration: float = 0.8e-9
     pulse_energy: float = 1.0
-    th_code: tuple[int, ...] = field(default=tuple([0] * 32))
+    th_code: tuple[int, ...] | None = None
     sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
-        object.__setattr__(self, "th_code", tuple(int(c) for c in self.th_code))
+        code = (0,) * self.n_frames_per_symbol if self.th_code is None else self.th_code
+        object.__setattr__(self, "th_code", tuple(int(c) for c in code))
         if self.n_frames_per_symbol < 1:
             raise ConfigError("n_frames_per_symbol must be >= 1",
                               field="n_frames_per_symbol")
@@ -165,11 +166,10 @@ class FrameConfig:
 
 @dataclass
 class SampledWaveform:
-    """A uniformly sampled real-valued signal with a time origin."""
+    """A uniformly sampled real-valued signal starting at time 0."""
 
     samples: np.ndarray
     sample_rate: float
-    t_start: float = 0.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -185,7 +185,7 @@ class SampledWaveform:
 
     def index_of(self, t: float) -> int:
         """Nearest sample index for time ``t``."""
-        return int(round((t - self.t_start) * self.sample_rate))
+        return int(round(t * self.sample_rate))
 
 
 @dataclass(frozen=True)
@@ -320,4 +320,4 @@ def generate_tx(symbols: SymbolSequence, cfg: FrameConfig) -> SampledWaveform:
     for start in cfg.frame_start_samples():
         symbol[start:start + len(pulse)] = pulse
     return SampledWaveform(place_symbols(symbols, symbol, cfg, len(symbols) * n_sym),
-                           cfg.sample_rate, 0.0)
+                           cfg.sample_rate)

@@ -46,7 +46,7 @@ def difference_template(r: SampledWaveform, k: int, tau: float, cfg: FrameConfig
         )
     plus = r.samples[i0 + n_d:i0 + n_d + n_s]
     minus = r.samples[i0 - n_d:i0 - n_d + n_s]
-    return SampledWaveform(plus - minus, r.sample_rate, 0.0)
+    return SampledWaveform(plus - minus, r.sample_rate)
 
 
 def dirty_correlation(r: SampledWaveform, k: int, tau: float,

@@ -274,7 +274,7 @@ class TestCriterion10ScaleInvariance:
             r = propagate(bits, ch, LinkParams(dtau, 10.0, 60_000 + trial), cfg)
             ref = two_floor_sync(r, cfg, cc, fc)
             for scale in (1e-3, 1e3):
-                scaled = SampledWaveform(r.samples * scale, r.sample_rate, r.t_start)
+                scaled = SampledWaveform(r.samples * scale, r.sample_rate)
                 est = two_floor_sync(scaled, cfg, cc, fc)
                 assert est.tau1 == ref.tau1
                 assert est.n_opt == ref.n_opt

@@ -271,8 +271,18 @@ class TestDemoCommand:
             main([])
         assert exc.value.code == 2
 
-    def test_bad_mode_exits_2(self, tmp_path):
-        assert main(["demo", "--mode", "wat", "--out", str(tmp_path)]) == 2
+    def test_bad_mode_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--mode", "wat", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_bad_m_exits_2_naming_flag(self, tmp_path, capsys, m):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--m", m, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--m" in capsys.readouterr().err
 
     @pytest.mark.parametrize("snr", ["abc", "nan", "-inf"])
     def test_bad_snr_exits_2_naming_key(self, tmp_path, capsys, snr):

@@ -59,6 +59,12 @@ class TestPlanGuards:
             ExperimentPlan(fine_cfg=FineConfig(t_corr=1121.5 * step, fine_step=step))
         assert exc.value.field == "t_corr"
 
+    def test_default_code_has_one_chip_per_frame(self):
+        plan = ExperimentPlan(frame_cfg=FrameConfig(n_frames_per_symbol=16))
+        assert plan.frame_cfg.th_code == (0,) * 16
+        res = run_trial(plan, 8.0, 4, "da", 0, 0)
+        assert 0.0 <= res.tau_hat_fine < plan.frame_cfg.symbol_duration
+
     def test_chip_alphabet_must_let_trials_draw_a_code(self):
         # 34 of the chips fit a 35 ns frame.  At 38 chips all 1000 draws of
         # a trial fail with probability 2.9e-13, at 39 with 3.8e-6.

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from uwbsync import (
     CoarseConfig,
+    ExperimentPlan,
     FineConfig,
     LinkParams,
     SampledWaveform,
@@ -20,6 +21,8 @@ from uwbsync import (
     two_floor_sync,
     wrapped_error,
 )
+from uwbsync.harness import build_trial_scene
+from uwbsync.sync import coarse_extent, fine_extent
 
 from oracles import (
     FRAME,
@@ -100,7 +103,7 @@ class TestDirtyCorrelation:
     def test_scaling_is_quadratic(self, cfg):
         r = make_received(cfg, da_bits(5), 100e-9)
         x1 = dirty_correlation(r, 1, 40e-9, cfg)
-        r3 = SampledWaveform(r.samples * 3.0, r.sample_rate, r.t_start)
+        r3 = SampledWaveform(r.samples * 3.0, r.sample_rate)
         x2 = dirty_correlation(r3, 1, 40e-9, cfg)
         assert x2 == pytest.approx(9.0 * x1, rel=1e-12)
 
@@ -371,6 +374,39 @@ class TestReadExtent:
         tau2_x, n_opt_x, z_x = fine_sync(cut(n, tail), tau1, cfg, SHORT_FINE)
         assert (tau2_x, n_opt_x) == (tau2, n_opt) and z_x.tobytes() == z.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 40), cell=st.integers(0, 31),
+           origin=st.integers(50, 4 * 56000), t_corr=st.floats(0.0, 20e-9),
+           step=st.sampled_from((0.1e-9, 0.25e-9, 1e-9)), k_avg=st.integers(1, 12))
+    def test_extents_equal_the_oracles(self, cfg, m, cell, origin, t_corr, step,
+                                       k_avg):
+        cc = CoarseConfig(n_symbols=m, segment_origin=origin / FS)
+        assert coarse_extent(cfg, cc) == coarse_min_samples(cfg, cc)
+        fc = FineConfig(t_corr=t_corr, fine_step=step, n_symbols_avg=k_avg)
+        tau1 = cell * cc.search_step
+        assert fine_extent(cfg, fc, tau1)[1] == fine_min_samples(cfg, fc, tau1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(1, 33), k_avg=st.integers(1, 12),
+           t_corr=st.floats(0.0, 1.0), origin=st.integers(50, 4 * 56000),
+           model=st.sampled_from(("cm1", "single_path")),
+           mode=st.sampled_from(("nda", "da")))
+    def test_trial_records_hold_the_fewest_symbols_both_floors_read(
+            self, m, k_avg, t_corr, origin, model, mode):
+        # t_corr runs over [0, T_s] and the origin from the PPM shift to
+        # four symbols; the fine floor reads furthest at the last coarse cell.
+        cc = CoarseConfig(n_symbols=m, mode=mode, segment_origin=origin / FS)
+        fc = FineConfig(t_corr=t_corr * FRAME.symbol_duration, n_symbols_avg=k_avg)
+        plan = ExperimentPlan(coarse_cfg=cc, fine_cfg=fc, channel_model=model)
+        scene = build_trial_scene(plan, math.inf, m, mode, 0, 0)
+        tau1 = (cc.grid_size(scene.cfg) - 1) * cc.search_step
+        extent = max(coarse_min_samples(scene.cfg, cc),
+                     fine_min_samples(scene.cfg, fc, tau1))
+        n_s = scene.cfg.n_symbol_samples
+        assert (len(scene.bits) - 1) * n_s < extent <= len(scene.bits) * n_s
+        coarse_sync(scene.received, scene.cfg, cc)
+        fine_sync(scene.received, tau1, scene.cfg, fc)
+
 
 class TestTwoFloorSync:
     def test_fine_floor_repairs_coarse_grid(self, cfg):
@@ -393,7 +429,7 @@ class TestTwoFloorSync:
         fc = FineConfig()
         ref = two_floor_sync(r, cfg, cc, fc)
         for c in (1e-3, 1e3):
-            rc = SampledWaveform(r.samples * c, r.sample_rate, r.t_start)
+            rc = SampledWaveform(r.samples * c, r.sample_rate)
             est = two_floor_sync(rc, cfg, cc, fc)
             assert est.tau1 == ref.tau1
             assert est.n_opt == ref.n_opt

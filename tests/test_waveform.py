@@ -210,7 +210,10 @@ class TestSampledWaveform:
         with pytest.raises(ValueError):
             SampledWaveform(np.array([0.0, np.nan]), FS)
 
-    def test_index_of_uses_origin(self):
-        w = SampledWaveform(np.zeros(100), FS, t_start=1e-9)
-        assert w.index_of(1e-9) == 0
-        assert w.index_of(2e-9) == 50
+    def test_index_of_rounds_to_nearest_sample(self):
+        # 50 GHz: one sample is 20 ps; halves round to the even sample.
+        w = SampledWaveform(np.zeros(100), FS)
+        assert w.index_of(0.0) == 0
+        assert w.index_of(1e-9) == 50
+        assert w.index_of(1.009e-9) == 50 and w.index_of(1.011e-9) == 51
+        assert w.index_of(50e-12) == 2 and w.index_of(70e-12) == 4
