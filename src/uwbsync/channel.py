@@ -130,30 +130,26 @@ def generate_cm1(seed, max_delay: float = DEFAULT_MAX_DELAY) -> ChannelRealizati
     p = CM1_PARAMS
     sigma_db = math.sqrt(2.0) * p["lognormal_std_db"]  # cluster + ray terms
     rng = np.random.default_rng(seed)
-    for attempt in range(16):
-        delays = []
-        gains = []
-        t_cluster = 0.0
-        while t_cluster <= max_delay:
-            t_ray = 0.0
-            while t_cluster + t_ray <= max_delay:
-                # Mean power follows the double-exponential decay profile;
-                # 20log10|gain| is Normal with the mean offset that keeps
-                # E[gain^2] on that profile.
-                mean_pow_db = 10.0 * (-(t_cluster / p["cluster_decay"])
-                                      - (t_ray / p["ray_decay"])) / math.log(10.0)
-                mu_db = mean_pow_db - sigma_db * sigma_db * math.log(10.0) / 20.0
-                amp_db = rng.normal(mu_db, sigma_db)
-                sign = 1.0 if rng.random() < 0.5 else -1.0
-                gains.append(sign * 10.0 ** (amp_db / 20.0))
-                delays.append(t_cluster + t_ray)
-                t_ray += rng.exponential(1.0 / p["ray_rate"])
-            t_cluster += rng.exponential(1.0 / p["cluster_rate"])
-        if gains:
-            return _normalized(np.asarray(gains), np.asarray(delays),
-                               seed=seed, model="cm1")
-        # Degenerate draw; perturb the substream and retry.
-    raise RuntimeError("CM1 generation produced no taps after 16 attempts")
+    delays = []
+    gains = []
+    t_cluster = 0.0
+    while t_cluster <= max_delay:
+        t_ray = 0.0
+        while t_cluster + t_ray <= max_delay:
+            # Mean power follows the double-exponential decay profile;
+            # 20log10|gain| is Normal with the mean offset that keeps
+            # E[gain^2] on that profile.
+            mean_pow_db = 10.0 * (-(t_cluster / p["cluster_decay"])
+                                  - (t_ray / p["ray_decay"])) / math.log(10.0)
+            mu_db = mean_pow_db - sigma_db * sigma_db * math.log(10.0) / 20.0
+            amp_db = rng.normal(mu_db, sigma_db)
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            gains.append(sign * 10.0 ** (amp_db / 20.0))
+            delays.append(t_cluster + t_ray)
+            t_ray += rng.exponential(1.0 / p["ray_rate"])
+        t_cluster += rng.exponential(1.0 / p["cluster_rate"])
+    # max_delay > 0, so the first ray, at delay 0, is always drawn.
+    return _normalized(np.asarray(gains), np.asarray(delays), seed=seed, model="cm1")
 
 
 def single_path() -> ChannelRealization:
@@ -246,9 +242,9 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, link: LinkParams,
     The noiseless record is the received one-symbol template
     (:func:`aggregate_template`) overlap-added once per bit, delayed by
     the timing offset; the same template sets the noise level.  The
-    output window is [0, (K+1) * symbol_duration] for K bits, so adjacent
-    symbol-long segment pairs exist at any candidate offset in [0, T_s).
-    Tap delays and the timing offset are rounded to the sample grid.
+    output window is the bits' own, [0, K * symbol_duration) for K bits:
+    the template tails past it are cut.  Tap delays and the timing offset
+    are rounded to the sample grid.
     """
     if not isinstance(bits, SymbolSequence):
         raise TypeError(
@@ -261,15 +257,14 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, link: LinkParams,
             f"timing_offset = {link.timing_offset!r} outside [0, {t_s!r})"
         )
     fs = cfg.sample_rate
-    n_sym = cfg.n_symbol_samples
     n_off = int(round(link.timing_offset * fs))
     template = aggregate_template(ch, cfg).samples
-    out = place_symbols(bits, template, cfg, (len(bits) + 1) * n_sym, n_off)
+    out = place_symbols(bits, template, cfg, n_off)
 
     if link.snr_db != math.inf:
         # np.sum, not np.dot: a BLAS dot this long runs threaded, and its
         # rounding (so the record) then depends on the BLAS thread count.
-        head = template[:n_sym]
+        head = template[:cfg.n_symbol_samples]
         e_sum = float(np.sum(head * head))
         sigma = noise_std(e_sum, link.snr_db, snr_ref_samples(cfg))
         # normal(0, sigma) draws 0.0 + sigma * z, so this is the same noise

@@ -25,7 +25,7 @@ from . import __version__
 from .waveform import ConfigError, FrameConfig
 from .channel import (DEFAULT_MAX_DELAY, generate_cm1, rms_delay_spread,
                       taps_to_text, snr_ref_samples)
-from .sync import CoarseConfig, FineConfig
+from .sync import COARSE_MODES, CoarseConfig, FineConfig
 from .harness import (ExperimentPlan, records_to_csv, run_sweep, sweep_workers,
                       sync_trial, wrapped_error)
 
@@ -152,7 +152,12 @@ def _whole_number_arg(minimum: int):
 def _env_seed(default):
     """The base seed in UWB_SYNC_SEED if it is set, else ``default``."""
     env = os.environ.get(ENV_SEED)
-    return _parse(ENV_SEED, "int", env) if env else default
+    if not env:
+        return default
+    seed = _parse(ENV_SEED, "int", env)
+    if seed < 0:
+        raise ConfigError(f"{ENV_SEED}: {seed} must be >= 0")
+    return seed
 
 
 def load_plan(path) -> ExperimentPlan:
@@ -233,11 +238,7 @@ def _write_objective(path: Path, xs, ys) -> None:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        plan = load_plan(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    plan = load_plan(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -275,15 +276,11 @@ def _dump_objectives(plan: ExperimentPlan, out_dir: Path) -> None:
 
 
 def cmd_demo(args) -> int:
-    try:
-        plan = load_plan(args.config) if args.config else ExperimentPlan()
-        seed = _env_seed(args.seed)  # env > --seed > config
-        if seed is not None:
-            plan = replace(plan, base_seed=seed)
-        snr = _parse("snr", "dB", args.snr)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    plan = load_plan(args.config) if args.config else ExperimentPlan()
+    seed = _env_seed(args.seed)  # env > --seed > config
+    if seed is not None:
+        plan = replace(plan, base_seed=seed)
+    snr = _parse("snr", "dB", args.snr)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(_snr_definition_line(plan))
@@ -350,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--snr", default="inf", help="SNR in dB, or 'inf'")
     p_demo.add_argument("--m", type=_whole_number_arg(1), default=16,
                         help="observation symbols M")
-    p_demo.add_argument("--mode", choices=("nda", "da"), default="da")
+    p_demo.add_argument("--mode", choices=COARSE_MODES, default="da")
     p_demo.add_argument("--seed", type=_whole_number_arg(0), default=None,
                         help="base seed (default: the config's)")
     p_demo.add_argument("--config", default=None, help="optional config file")

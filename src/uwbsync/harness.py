@@ -29,8 +29,8 @@ from .channel import (
     propagate,
     single_path,
 )
-from .sync import (CoarseConfig, FineConfig, SyncEstimate, coarse_extent,
-                   fine_extent, training_pattern, two_floor_sync)
+from .sync import (COARSE_MODES, CoarseConfig, FineConfig, SyncEstimate,
+                   coarse_extent, fine_extent, training_pattern, two_floor_sync)
 
 __all__ = [
     "ExperimentPlan",
@@ -63,8 +63,8 @@ class ExperimentPlan:
 
     snr_grid_db: tuple[float, ...] = (0.0, 4.0, 8.0, 12.0, 16.0)
     m_grid: tuple[int, ...] = (8, 32)
-    modes: tuple[str, ...] = ("nda", "da")
-    floors: tuple[str, ...] = ("coarse_only", "coarse_plus_fine")
+    modes: tuple[str, ...] = COARSE_MODES
+    floors: tuple[str, ...] = FLOORS
     trials_per_cell: int = 200
     base_seed: int = 20260801
     frame_cfg: FrameConfig = FrameConfig()
@@ -79,32 +79,35 @@ class ExperimentPlan:
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "floors", tuple(self.floors))
         if self.trials_per_cell < 1:
-            raise ConfigError("trials_per_cell must be >= 1")
+            raise ConfigError(f"must be >= 1, got {self.trials_per_cell}",
+                              field="trials_per_cell")
         if self.base_seed < 0:
-            raise ConfigError(f"base_seed: {self.base_seed} must be >= 0")
+            raise ConfigError(f"must be >= 0, got {self.base_seed}", field="base_seed")
         for name in ("snr_grid_db", "m_grid", "modes", "floors"):
             grid = getattr(self, name)
             if not grid:
-                raise ConfigError(f"{name}: sweep grid must be non-empty")
+                raise ConfigError("sweep grid must be non-empty", field=name)
             if len(set(grid)) != len(grid):
-                raise ConfigError(f"{name}: duplicate entries in {grid}")
+                raise ConfigError(f"duplicate entries in {grid}", field=name)
         for snr in self.snr_grid_db:
             if math.isnan(snr) or snr == -math.inf:
-                raise ConfigError(f"snr_grid_db: {snr!r} is not a finite SNR or inf")
+                raise ConfigError(f"{snr!r} is not a finite SNR or inf",
+                                  field="snr_grid_db")
         for m in self.m_grid:
             if m < 1:
-                raise ConfigError(f"m_grid: M = {m} must be >= 1")
+                raise ConfigError(f"M = {m} must be >= 1", field="m_grid")
         for mode in self.modes:
-            if mode not in ("nda", "da"):
-                raise ConfigError(f"unknown mode {mode!r}")
+            if mode not in COARSE_MODES:
+                raise ConfigError(f"unknown mode {mode!r}", field="modes")
         for floor in self.floors:
             if floor not in FLOORS:
-                raise ConfigError(f"unknown floor {floor!r}")
+                raise ConfigError(f"unknown floor {floor!r}", field="floors")
         if self.channel_model not in CHANNEL_MODELS:
-            raise ConfigError(f"unknown channel model {self.channel_model!r}")
+            raise ConfigError(f"unknown channel model {self.channel_model!r}",
+                              field="channel_model")
         if not 0 < self.channel_max_delay < math.inf:
-            raise ConfigError(f"max_delay_ns: {self.channel_max_delay!r} s "
-                              "must be positive and finite")
+            raise ConfigError(f"{self.channel_max_delay!r} s must be positive and "
+                              "finite", field="channel_max_delay")
         # Each trial redraws its hopping code until no pulse leaks out of
         # its frame (draw_th_code); the alphabet must make running out of
         # draws negligible.
@@ -194,9 +197,9 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
     """Draw one trial's randomness and synthesize its received record.
 
     Substreams: 0=TH code, 1=channel, 2=noise, 3=data bits, 4=timing
-    offset.  The record holds the fewest whole symbols that cover the
+    offset.  The trial draws the fewest bits K whose symbols cover the
     furthest sample either floor reads, the fine floor's at the last
-    coarse candidate.
+    coarse candidate, and its record is exactly those K symbols.
     """
     ss = np.random.SeedSequence(entropy=plan.base_seed,
                                 spawn_key=(group_index, trial_index))

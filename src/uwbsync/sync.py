@@ -147,6 +147,14 @@ def fine_extent(cfg: FrameConfig, fc: FineConfig, tau1: float) -> tuple[int, int
     return lo, hi
 
 
+def _samples_on_grid(r: SampledWaveform, cfg: FrameConfig) -> np.ndarray:
+    """The record's samples; the floors index them on ``cfg``'s grid only."""
+    if r.sample_rate != cfg.sample_rate:
+        raise ValueError(f"record sampled at {r.sample_rate!r} Hz, but the "
+                         f"frame format's grid is {cfg.sample_rate!r} Hz")
+    return r.samples
+
+
 def coarse_sync(r: SampledWaveform, cfg: FrameConfig,
                 cc: CoarseConfig) -> tuple[float, np.ndarray]:
     """Blind coarse acquisition over the offset grid in [0, T_s).
@@ -165,9 +173,9 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig,
     m = cc.n_symbols
     n_grid = cc.grid_size(cfg)
     step_samples = n_s // n_grid
-    origin_idx = r.index_of(cc.origin(cfg))
+    origin_idx = round(cc.origin(cfg) * fs)
 
-    x = r.samples
+    x = _samples_on_grid(r, cfg)
     need = coarse_extent(cfg, cc)
     if origin_idx < n_d:
         raise ValueError(
@@ -224,7 +232,7 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     n_s = cfg.n_symbol_samples
     n_cand = fc.n_steps
     offsets = np.arange(-n_cand + 1, n_cand)
-    x = r.samples
+    x = _samples_on_grid(r, cfg)
     k_avg = fc.n_symbols_avg
     lo, hi = fine_extent(cfg, fc, tau1)
     if lo < 0 or hi > len(x):
@@ -232,7 +240,7 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
             f"fine scan needs samples [{lo}, {hi}) beyond the record "
             f"({len(x)} samples); extend the record"
         )
-    base = r.index_of(tau1 + cfg.symbol_duration)
+    base = round((tau1 + cfg.symbol_duration) * fs)
     off_samples = np.round(offsets * fc.fine_step * fs).astype(np.int64)
     lag = 2 * n_s
     window = cfg.n_pulse_samples + cfg.n_shift_samples

@@ -183,10 +183,6 @@ class SampledWaveform:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def index_of(self, t: float) -> int:
-        """Nearest sample index for time ``t``."""
-        return int(round(t * self.sample_rate))
-
 
 @dataclass(frozen=True)
 class SymbolSequence:
@@ -288,20 +284,21 @@ def draw_th_code(rng: np.random.Generator, cfg: FrameConfig) -> FrameConfig:
 
 
 def place_symbols(symbols: SymbolSequence, wave: np.ndarray, cfg: FrameConfig,
-                  n_out: int, offset: int = 0) -> np.ndarray:
-    """Overlap-add one symbol-long waveform once per data bit.
+                  offset: int = 0) -> np.ndarray:
+    """Overlap-add one waveform once per data bit over the symbols' window.
 
-    Symbol k's copy of ``wave`` starts at sample k*n_symbol_samples +
-    bit*n_shift_samples + offset of an ``n_out``-sample output; each copy
-    must start inside the output and is cut at its end.
+    The output is exactly ``len(symbols) * n_symbol_samples`` long, the
+    one record window.  Symbol k's copy of ``wave`` starts at sample
+    k*n_symbol_samples + bit*n_shift_samples + offset (offset >= 0), and
+    whatever of it falls past the window is cut.
     """
-    out = np.zeros(n_out)
     n_sym = cfg.n_symbol_samples
     n_shift = cfg.n_shift_samples
+    out = np.zeros(len(symbols) * n_sym)
     for k, bit in enumerate(symbols.bits):
         start = k * n_sym + bit * n_shift + offset
-        stop = min(n_out, start + len(wave))
-        out[start:stop] += wave[:stop - start]
+        seg = out[start:start + len(wave)]
+        seg += wave[:len(seg)]
     return out
 
 
@@ -319,5 +316,4 @@ def generate_tx(symbols: SymbolSequence, cfg: FrameConfig) -> SampledWaveform:
     symbol = np.zeros(n_sym)
     for start in cfg.frame_start_samples():
         symbol[start:start + len(pulse)] = pulse
-    return SampledWaveform(place_symbols(symbols, symbol, cfg, len(symbols) * n_sym),
-                           cfg.sample_rate)
+    return SampledWaveform(place_symbols(symbols, symbol, cfg), cfg.sample_rate)

@@ -22,7 +22,7 @@ def energy(w: SampledWaveform) -> float:
 
 
 def _segment_start(r: SampledWaveform, k: int, tau: float, cfg: FrameConfig) -> int:
-    return r.index_of(k * cfg.symbol_duration + tau)
+    return round((k * cfg.symbol_duration + tau) * r.sample_rate)
 
 
 def difference_template(r: SampledWaveform, k: int, tau: float, cfg: FrameConfig,

@@ -97,6 +97,10 @@ class TestConfig:
         ("[sweep]\nsnr_grid_db = 0, 8, 0", "snr_grid_db"),
         ("[sweep]\nm_grid = 8, 8", "m_grid"),
         ("[sweep]\nmodes = da, da", "modes"),
+        ("[sweep]\nmodes = nda, xx", "modes"),
+        ("[sweep]\nfloors = fine", "floors"),
+        ("[channel]\nmodel = cm2", "model:"),
+        ("[sweep]\ntrials_per_cell = 0", "trials_per_cell:"),
         ("[sweep]\nfloors = coarse_only, coarse_only", "floors"),
         ("[sweep]\nm_grid =", "m_grid"),
         ("[sweep]\nbase_seed = -1", "base_seed"),
@@ -288,6 +292,16 @@ class TestDemoCommand:
     def test_bad_snr_exits_2_naming_key(self, tmp_path, capsys, snr):
         assert main(["demo", f"--snr={snr}", "--out", str(tmp_path)]) == 2
         assert "snr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["demo", "sweep"])
+    def test_negative_env_seed_exits_2_naming_it(self, tmp_path, capsys,
+                                                 monkeypatch, command):
+        monkeypatch.setenv("UWB_SYNC_SEED", "-5")
+        args = [command, "--out", str(tmp_path)]
+        if command == "sweep":
+            args.insert(1, str(REPO_CONFIG))
+        assert main(args) == 2
+        assert "UWB_SYNC_SEED" in capsys.readouterr().err
 
 
 class TestChannelCommand:

@@ -210,6 +210,17 @@ class TestCoarseSync:
         with pytest.raises(ValueError, match="closer to the record start"):
             coarse_sync(r, cfg, CoarseConfig(n_symbols=8, segment_origin=0.0))
 
+    def test_rejects_a_record_on_another_grid(self, cfg):
+        # The floors index the record on the frame format's grid only; the
+        # same record resampled at 25 GHz must not pass as a 50 GHz one.
+        r = make_received(cfg, da_bits(10), 417e-9)
+        half = SampledWaveform(r.samples[::2], FS / 2)
+        rates = r"25000000000.0 Hz.*50000000000.0 Hz"
+        with pytest.raises(ValueError, match=rates):
+            coarse_sync(half, cfg, CoarseConfig(n_symbols=2))
+        with pytest.raises(ValueError, match=rates):
+            fine_sync(half, 0.0, cfg, FineConfig(t_corr=1e-9, n_symbols_avg=1))
+
     def test_rejects_bad_grid(self, cfg):
         with pytest.raises(Exception):
             CoarseConfig(search_step=33e-9).grid_size(cfg)
@@ -404,6 +415,7 @@ class TestReadExtent:
                      fine_min_samples(scene.cfg, fc, tau1))
         n_s = scene.cfg.n_symbol_samples
         assert (len(scene.bits) - 1) * n_s < extent <= len(scene.bits) * n_s
+        assert len(scene.received.samples) == len(scene.bits) * n_s
         coarse_sync(scene.received, scene.cfg, cc)
         fine_sync(scene.received, tau1, scene.cfg, fc)
 
