@@ -47,7 +47,6 @@ _SCHEMA = (
     ("channel", "model", "channel_model", "str"),
     ("channel", "max_delay_ns", "channel_max_delay", "ns"),
     ("coarse", "search_step_ns", "coarse_cfg.search_step", "ns"),
-    ("coarse", "segment_origin_ns", "coarse_cfg.segment_origin", "ns"),
     ("fine", "t_corr_ns", "fine_cfg.t_corr", "ns"),
     ("fine", "fine_step_ns", "fine_cfg.fine_step", "ns"),
     ("fine", "n_symbols_avg", "fine_cfg.n_symbols_avg", "int"),
@@ -64,35 +63,6 @@ _IGNORED_SECTION = "run_info"  # written to manifests; ignored on load
 _KEY_OF_FIELD = {field.rpartition(".")[2]: key for _, key, field, _ in _SCHEMA}
 
 
-def _ns_to_s(token) -> float:
-    """Parse a nanosecond token into seconds without a scaling round-off.
-
-    "35.0" becomes float("35.0e-9"), which is bit-identical to the literal
-    35e-9 the library defaults use; multiplying by 1e-9 is not.
-    """
-    tok = str(token).strip()
-    if "e" in tok.lower():
-        return float(tok) * 1e-9
-    return float(tok + "e-9")
-
-
-def _ghz_to_hz(token) -> float:
-    tok = str(token).strip()
-    if "e" in tok.lower():
-        return float(tok) * 1e9
-    return float(tok + "e9")
-
-
-def _exact_token(value: float, unit_exp: int) -> str:
-    """Plain decimal token t with float(f"{t}e{unit_exp}") == value.
-
-    The shortest round-trip decimal of ``value``, shifted by the unit's
-    power of ten, is the same number, so ``_ns_to_s`` (unit_exp -9) and
-    ``_ghz_to_hz`` (unit_exp 9) parse it back to the same double.
-    """
-    return format(Decimal(repr(value)).scaleb(-unit_exp).normalize(), "f")
-
-
 def _finite(conv):
     def parse(token):
         value = conv(token)
@@ -102,13 +72,35 @@ def _finite(conv):
     return parse
 
 
+def _decimal_unit(unit_exp: int):
+    """(parse, render) for a unit of 10**unit_exp SI units (ns: -9, GHz: 9).
+
+    A plain token parses with no scaling round-off: "35.0" ns becomes
+    float("35.0e-9"), which is bit-identical to the literal 35e-9 the
+    library defaults use; multiplying by 1e-9 is not.  Rendering writes the
+    shortest round-trip decimal of the value shifted by the unit's power of
+    ten, a plain token that parses back to the same double.
+    """
+    scale = float(f"1e{unit_exp}")
+
+    def parse(token) -> float:
+        tok = str(token).strip()
+        if "e" in tok.lower():
+            return float(tok) * scale
+        return float(f"{tok}e{unit_exp}")
+
+    def render(value: float) -> str:
+        return format(Decimal(repr(value)).scaleb(-unit_exp).normalize(), "f")
+    return _finite(parse), render
+
+
 _UNITS = {  # unit -> (parse a token, render a value as a token)
     "int": (int, str),
     "str": (str, str),
     "float": (_finite(float), repr),
     "dB": (float, repr),  # +inf is noiseless; ExperimentPlan rejects nan, -inf
-    "ns": (_finite(_ns_to_s), lambda v: _exact_token(v, -9)),
-    "GHz": (_finite(_ghz_to_hz), lambda v: _exact_token(v, 9)),
+    "ns": _decimal_unit(-9),
+    "GHz": _decimal_unit(9),
 }
 
 
@@ -131,12 +123,15 @@ def _render(unit: str, value) -> str:
 
 
 def _ns_arg(token: str) -> float:
-    """argparse type for a duration flag: a finite number of ns, in seconds."""
+    """argparse type for a delay flag: a finite number of ns > 0, in seconds."""
     try:
-        return _finite(_ns_to_s)(token)
+        value = _UNITS["ns"][0](token)
+        if value > 0:
+            return value
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number of ns, got {token!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a finite number of ns > 0, got {token!r}")
 
 
 def _whole_number_arg(minimum: int):
@@ -161,7 +156,7 @@ def _env_seed(default):
 
 
 def load_plan(path) -> ExperimentPlan:
-    """Parse and validate a config file into a fully resolved plan.
+    """Parse and validate a config file into a plan.
 
     Unknown sections or keys are configuration errors: a misspelled key
     should fail loudly, not silently fall back to a default.

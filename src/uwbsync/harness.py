@@ -57,8 +57,6 @@ class ExperimentPlan:
     """A full sweep: grids, trial count, seed, and module configs.
 
     These field defaults are the only defaults of the sweep config keys.
-    A plan is resolved on construction: ``coarse_cfg.segment_origin``
-    becomes its ``origin`` in ``frame_cfg``.
     """
 
     snr_grid_db: tuple[float, ...] = (0.0, 4.0, 8.0, 12.0, 16.0)
@@ -118,16 +116,8 @@ class ExperimentPlan:
                 f"{frame.n_chips} chips, of which only {frame.n_fitting_chips} "
                 f"keep a pulse inside its frame: a trial could fail to draw a "
                 f"hopping code in {TH_CODE_ATTEMPTS} attempts", field="n_chips")
-        object.__setattr__(self, "coarse_cfg", replace(
-            self.coarse_cfg, segment_origin=self.coarse_cfg.origin(frame)))
         fine = self.fine_cfg
         self.coarse_cfg.grid_size(frame)
-        origin = self.coarse_cfg.segment_origin
-        if round(origin * frame.sample_rate) < frame.n_shift_samples:
-            raise ConfigError(
-                f"segment_origin {origin!r} s is closer to the record start "
-                f"than the PPM shift {frame.ppm_shift!r} s the coarse floor "
-                f"reads back", field="segment_origin")
         # The fine scan's guard is one symbol: at tau1 = 0 and a code
         # starting at chip 0, its first window must not start before sample 0.
         n_s = frame.n_symbol_samples

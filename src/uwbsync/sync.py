@@ -14,6 +14,10 @@ the waveform against itself two symbols later (the period of the training
 pattern, and the smallest symbol lag whose product is immune to the PPM
 bit shifts).  Its peak is pulse-sharp, which is what lets it repair both
 the coarse grid quantization and adjacent-frame coarse misses.
+
+The timing offset cuts into the record's first symbol, so both floors
+start one symbol in: the coarse floor's first segment at sample n_s, the
+fine scan centred on tau1 plus one symbol.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ class CoarseConfig:
     n_symbols: int = 16
     mode: str = "nda"
     search_step: float = 35e-9
-    segment_origin: float | None = None  # defaults to one symbol duration
 
     def __post_init__(self):
         if self.n_symbols < 1:
@@ -66,9 +69,6 @@ class CoarseConfig:
                 f"duration {t_s!r}", field="search_step"
             )
         return int(round(ratio))
-
-    def origin(self, cfg: FrameConfig) -> float:
-        return cfg.symbol_duration if self.segment_origin is None else self.segment_origin
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,10 @@ def _pattern_signs(m: int) -> np.ndarray:
 
 def coarse_extent(cfg: FrameConfig, cc: CoarseConfig) -> int:
     """Samples the coarse floor reads from the record start: up to the end
-    of the last candidate's (M+1)-th segment."""
+    of the last candidate's (M+1)-th segment, the first starting at n_s."""
     n_s = cfg.n_symbol_samples
     n_grid = cc.grid_size(cfg)
-    origin_idx = round(cc.origin(cfg) * cfg.sample_rate)
-    return origin_idx + (cc.n_symbols + 1) * n_s + (n_grid - 1) * (n_s // n_grid)
+    return (cc.n_symbols + 2) * n_s + (n_grid - 1) * (n_s // n_grid)
 
 
 def fine_extent(cfg: FrameConfig, fc: FineConfig, tau1: float) -> tuple[int, int]:
@@ -173,20 +172,13 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig,
     m = cc.n_symbols
     n_grid = cc.grid_size(cfg)
     step_samples = n_s // n_grid
-    origin_idx = round(cc.origin(cfg) * fs)
 
     x = _samples_on_grid(r, cfg)
     need = coarse_extent(cfg, cc)
-    if origin_idx < n_d:
-        raise ValueError(
-            f"segment origin at sample {origin_idx} is closer to the record "
-            f"start than the PPM shift ({n_d} samples) the difference "
-            f"template reads back"
-        )
     if need > len(x):
         raise ValueError(
-            f"record too short for coarse search: need {need} samples from "
-            f"origin, have {len(x)} (M={m} plus guards)"
+            f"record too short for coarse search: need {need} samples, "
+            f"have {len(x)} (M={m} plus guards)"
         )
 
     # All (segment, tau) correlations come from one lagged product array:
@@ -195,7 +187,7 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig,
     # its prefix sum stop at the last window end any candidate reads; a
     # cumulative sum is sequential, so its leading values do not change.
     taus = np.arange(n_grid) * step_samples
-    starts = origin_idx + taus[:, None] + np.arange(m)[None, :] * n_s
+    starts = n_s + taus[:, None] + np.arange(m)[None, :] * n_s
     end = int(starts.max()) + n_s
     csum = np.empty(end + 1)  # csum[i] = g[0] + ... + g[i - 1], built in place
     csum[:n_d + 1] = 0.0

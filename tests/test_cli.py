@@ -1,5 +1,6 @@
 """CLI: config parsing, manifest round trip, subcommand behavior."""
 
+import configparser
 import math
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from uwbsync import (CoarseConfig, ExperimentPlan, FineConfig, FrameConfig,
                      generate_cm1, taps_from_text)
-from uwbsync.cli import load_plan, main, plan_to_config_text
+from uwbsync.cli import _SCHEMA, load_plan, main, plan_to_config_text
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
@@ -54,6 +55,13 @@ class TestConfig:
         assert plan.snr_grid_db == (0.0, 4.0, 8.0, 12.0, 16.0)
         assert plan.trials_per_cell == 200
 
+    def test_shipped_default_sets_every_key(self):
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        assert parser.read(REPO_CONFIG)
+        missing = [(section, key) for section, key, _, _ in _SCHEMA
+                   if not parser.has_option(section, key)]
+        assert missing == []
+
     def test_manifest_round_trip(self, tmp_path, tiny_config):
         long_digits = tmp_path / "long_digits.cfg"
         long_digits.write_text(LONG_DIGITS_CONFIG)
@@ -88,6 +96,7 @@ class TestConfig:
         ("[fine]\nvariant = th_matched", "variant"),  # removed key
         ("[frame]\nth_code_seed = 0", "th_code_seed"),  # removed key
         ("[frame]\nth_code = 0, 1", "th_code"),  # removed key
+        ("[coarse]\nsegment_origin_ns = 1120", "segment_origin_ns"),  # removed key
         ("[frame]\npulse_energy = nan", "pulse_energy"),
         ("[frame]\npulse_energy = 1e400", "pulse_energy"),
         ("[channel]\nmax_delay_ns = -5", "max_delay_ns"),
@@ -112,8 +121,6 @@ class TestConfig:
         ("[coarse]\nsearch_step_ns = 33", "search_step_ns"),  # does not divide T_s
         ("[fine]\nfine_step_ns = -1", "fine_step_ns"),
         ("[fine]\nn_symbols_avg = 0", "n_symbols_avg"),
-        ("[coarse]\nsegment_origin_ns = 0", "segment_origin_ns"),  # before the PPM shift
-        ("[coarse]\nsegment_origin_ns = -5", "segment_origin_ns"),
         ("[fine]\nt_corr_ns = 1500", "t_corr_ns"),  # scan passes its one-symbol guard
         ("[frame]\nn_chips = 39", "n_chips"),  # a code draw fits too rarely
         ("[frame]\nn_chips = 45", "n_chips"),
@@ -152,8 +159,8 @@ def frame_configs(draw):
 
 
 @st.composite
-def resolved_plans(draw):
-    """Valid plans in the form load_plan returns (segment origin explicit)."""
+def valid_plans(draw):
+    """Valid plans, every config key drawn."""
     frame = draw(frame_configs())
     t_s = frame.symbol_duration
     return ExperimentPlan(
@@ -168,8 +175,7 @@ def resolved_plans(draw):
         trials_per_cell=draw(st.integers(1, 10**6)),
         base_seed=draw(st.integers(0, 2**64)),
         frame_cfg=frame,
-        coarse_cfg=CoarseConfig(search_step=t_s / draw(st.integers(1, 64)),
-                                segment_origin=draw(st.floats(frame.ppm_shift, 1e-5))),
+        coarse_cfg=CoarseConfig(search_step=t_s / draw(st.integers(1, 64))),
         fine_cfg=FineConfig(t_corr=draw(st.floats(0.0, t_s)),
                             fine_step=draw(st.floats(1e-13, 1e-8)),
                             n_symbols_avg=draw(st.integers(1, 64))),
@@ -179,7 +185,7 @@ def resolved_plans(draw):
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(plan=resolved_plans())
+@given(plan=valid_plans())
 def test_manifest_reloads_any_plan_exactly(plan, tmp_path, monkeypatch):
     monkeypatch.delenv("UWB_SYNC_SEED", raising=False)
     path = tmp_path / "manifest.cfg"
@@ -219,14 +225,6 @@ class TestSweepCommand:
         assert exc.value.code == 2
         assert "--threads: expected a whole number >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
-
-    def test_segment_origin_many_symbols_in(self, tmp_path):
-        # The record grows by the whole symbols the origin lies past the first.
-        path = tmp_path / "far_origin.cfg"
-        path.write_text(TINY_CONFIG.replace("inf, 10", "10")
-                        .replace("trials_per_cell = 2", "trials_per_cell = 1")
-                        + "\n[coarse]\nsegment_origin_ns = 20000\n")
-        assert main(["sweep", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_dump_objectives(self, tmp_path, tiny_config):
         out = tmp_path / "dump"
@@ -326,14 +324,16 @@ class TestChannelCommand:
         assert main(["channel", "--out", str(tmp_path)]) == 0
         assert seen == [25e-9]
 
-    @pytest.mark.parametrize("value", ["abc", "nan", "1e400"])
+    @pytest.mark.parametrize("value", ["abc", "nan", "1e400", "0", "-3"])
     def test_bad_max_delay_asks_for_ns(self, tmp_path, capsys, value):
+        out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
-            main(["channel", f"--max-delay-ns={value}", "--out", str(tmp_path)])
+            main(["channel", f"--max-delay-ns={value}", "--out", str(out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--max-delay-ns: expected a finite number of ns" in err
-        assert "_ns_to_s" not in err
+        assert "_ns_arg" not in err and "_decimal_unit" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value", [
         ("channel", "--seed", "-1"),

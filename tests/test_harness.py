@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from uwbsync import (
-    CoarseConfig,
     ConfigError,
     ExperimentPlan,
     FineConfig,
@@ -44,12 +43,6 @@ class TestWrappedError:
 
 
 class TestPlanGuards:
-    def test_segment_origin_may_sit_at_the_ppm_shift(self):
-        ExperimentPlan(coarse_cfg=CoarseConfig(segment_origin=1e-9))
-        with pytest.raises(ConfigError, match="PPM shift") as exc:
-            ExperimentPlan(coarse_cfg=CoarseConfig(segment_origin=0.98e-9))
-        assert exc.value.field == "segment_origin"
-
     def test_fine_scan_may_reach_exactly_one_symbol_back(self):
         # The scan TestBuffers runs: at tau1 = 0 its first window starts at
         # sample 0.  One step wider passes the record start.

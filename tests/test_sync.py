@@ -205,11 +205,6 @@ class TestCoarseSync:
         with pytest.raises(ValueError):
             coarse_sync(r, cfg, CoarseConfig(n_symbols=8))
 
-    def test_origin_before_ppm_shift_is_not_a_length_error(self, cfg):
-        r = SampledWaveform(np.zeros(20 * cfg.n_symbol_samples), FS)
-        with pytest.raises(ValueError, match="closer to the record start"):
-            coarse_sync(r, cfg, CoarseConfig(n_symbols=8, segment_origin=0.0))
-
     def test_rejects_a_record_on_another_grid(self, cfg):
         # The floors index the record on the frame format's grid only; the
         # same record resampled at 25 GHz must not pass as a 50 GHz one.
@@ -326,11 +321,11 @@ SHORT_FINE = FineConfig(t_corr=4e-9, n_symbols_avg=2)
 
 def coarse_min_samples(cfg, cc):
     """Shortest record coarse_sync accepts: it ends at the last sample read,
-    the end of the last candidate's (M+1)-th segment."""
+    the end of the last candidate's (M+1)-th segment, the first starting
+    one symbol in."""
     n_s = cfg.n_symbol_samples
     step = n_s // cc.grid_size(cfg)
-    origin = int(round(cc.origin(cfg) * FS))
-    return origin + (cc.n_symbols + 1) * n_s + (cc.grid_size(cfg) - 1) * step
+    return n_s + (cc.n_symbols + 1) * n_s + (cc.grid_size(cfg) - 1) * step
 
 
 def fine_min_samples(cfg, fc, tau1):
@@ -387,11 +382,10 @@ class TestReadExtent:
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 40), cell=st.integers(0, 31),
-           origin=st.integers(50, 4 * 56000), t_corr=st.floats(0.0, 20e-9),
+           t_corr=st.floats(0.0, 20e-9),
            step=st.sampled_from((0.1e-9, 0.25e-9, 1e-9)), k_avg=st.integers(1, 12))
-    def test_extents_equal_the_oracles(self, cfg, m, cell, origin, t_corr, step,
-                                       k_avg):
-        cc = CoarseConfig(n_symbols=m, segment_origin=origin / FS)
+    def test_extents_equal_the_oracles(self, cfg, m, cell, t_corr, step, k_avg):
+        cc = CoarseConfig(n_symbols=m)
         assert coarse_extent(cfg, cc) == coarse_min_samples(cfg, cc)
         fc = FineConfig(t_corr=t_corr, fine_step=step, n_symbols_avg=k_avg)
         tau1 = cell * cc.search_step
@@ -399,14 +393,14 @@ class TestReadExtent:
 
     @settings(max_examples=25, deadline=None)
     @given(m=st.integers(1, 33), k_avg=st.integers(1, 12),
-           t_corr=st.floats(0.0, 1.0), origin=st.integers(50, 4 * 56000),
+           t_corr=st.floats(0.0, 1.0),
            model=st.sampled_from(("cm1", "single_path")),
            mode=st.sampled_from(("nda", "da")))
     def test_trial_records_hold_the_fewest_symbols_both_floors_read(
-            self, m, k_avg, t_corr, origin, model, mode):
-        # t_corr runs over [0, T_s] and the origin from the PPM shift to
-        # four symbols; the fine floor reads furthest at the last coarse cell.
-        cc = CoarseConfig(n_symbols=m, mode=mode, segment_origin=origin / FS)
+            self, m, k_avg, t_corr, model, mode):
+        # t_corr runs over [0, T_s]; the fine floor reads furthest at the
+        # last coarse cell.
+        cc = CoarseConfig(n_symbols=m, mode=mode)
         fc = FineConfig(t_corr=t_corr * FRAME.symbol_duration, n_symbols_avg=k_avg)
         plan = ExperimentPlan(coarse_cfg=cc, fine_cfg=fc, channel_model=model)
         scene = build_trial_scene(plan, math.inf, m, mode, 0, 0)
