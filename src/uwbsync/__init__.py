@@ -5,7 +5,6 @@ from .waveform import (
     FrameConfig,
     SampledWaveform,
     SymbolSequence,
-    monocycle,
     sampled_monocycle,
     draw_th_code,
     generate_tx,

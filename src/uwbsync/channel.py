@@ -203,8 +203,7 @@ def aggregate_template(ch: ChannelRealization, cfg: FrameConfig) -> SampledWavef
     """Noise-free received waveform of one isolated bit-0 symbol.
 
     This is the one-symbol pulse train convolved with the channel taps,
-    carrying the sqrt(pulse_energy) scale, over [0, symbol_duration +
-    channel excess delay].  :func:`propagate` builds every record and
+    over [0, symbol_duration + channel excess delay].  :func:`propagate` builds every record and
     its noise level from it; the estimators never see it.
     """
     tx1 = generate_tx(SymbolSequence.fixed([0]), cfg)
@@ -231,7 +230,7 @@ def partial_energies(p_r: SampledWaveform, tau: float,
     cut = n_s - n_tau
     eps_b = float(np.sum(s[:cut] * s[:cut]) / fs)
     eps_a = float(np.sum(s[cut:] * s[cut:]) / fs)
-    eps_r = eps_a + eps_b
+    eps_r = float(np.sum(s * s) / fs)
     return eps_a, eps_b, eps_r
 
 

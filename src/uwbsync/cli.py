@@ -42,7 +42,6 @@ _SCHEMA = (
     ("frame", "n_chips", "frame_cfg.n_chips", "int"),
     ("frame", "ppm_shift_ns", "frame_cfg.ppm_shift", "ns"),
     ("frame", "pulse_duration_ns", "frame_cfg.pulse_duration", "ns"),
-    ("frame", "pulse_energy", "frame_cfg.pulse_energy", "float"),
     ("frame", "sample_rate_ghz", "frame_cfg.sample_rate", "GHz"),
     ("channel", "model", "channel_model", "str"),
     ("channel", "max_delay_ns", "channel_max_delay", "ns"),
@@ -97,7 +96,6 @@ def _decimal_unit(unit_exp: int):
 _UNITS = {  # unit -> (parse a token, render a value as a token)
     "int": (int, str),
     "str": (str, str),
-    "float": (_finite(float), repr),
     "dB": (float, repr),  # +inf is noiseless; ExperimentPlan rejects nan, -inf
     "ns": _decimal_unit(-9),
     "GHz": _decimal_unit(9),
@@ -122,16 +120,17 @@ def _render(unit: str, value) -> str:
     return render(value)
 
 
-def _ns_arg(token: str) -> float:
-    """argparse type for a delay flag: a finite number of ns > 0, in seconds."""
-    try:
-        value = _UNITS["ns"][0](token)
-        if value > 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected a finite number of ns > 0, got {token!r}")
+def _unit_arg(unit: str, accept, expected: str):
+    """argparse type for a flag: a value of ``unit`` that ``accept`` admits."""
+    def parse(token: str):
+        try:
+            value = _UNITS[unit][0](token)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {token!r}")
+    return parse
 
 
 def _whole_number_arg(minimum: int):
@@ -275,13 +274,12 @@ def cmd_demo(args) -> int:
     seed = _env_seed(args.seed)  # env > --seed > config
     if seed is not None:
         plan = replace(plan, base_seed=seed)
-    snr = _parse("snr", "dB", args.snr)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(_snr_definition_line(plan))
 
     # Single trial, reported in ns, with both objective curves written out.
-    scene, est = sync_trial(plan, snr, args.m, args.mode, 0, 0)
+    scene, est = sync_trial(plan, args.snr, args.m, args.mode, 0, 0)
 
     t_s = scene.cfg.symbol_duration
     dtau = scene.delta_tau
@@ -339,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_demo = sub.add_parser("demo", help="run and inspect a single trial")
-    p_demo.add_argument("--snr", default="inf", help="SNR in dB, or 'inf'")
+    p_demo.add_argument("--snr", default="inf", help="SNR in dB, or 'inf' (noiseless)",
+                        type=_unit_arg("dB", lambda db: db > -math.inf,  # false for nan
+                                       "a number of dB or 'inf'"))
     p_demo.add_argument("--m", type=_whole_number_arg(1), default=16,
                         help="observation symbols M")
     p_demo.add_argument("--mode", choices=COARSE_MODES, default="da")
@@ -352,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch = sub.add_parser("channel", help="generate channel tap-list fixtures")
     p_ch.add_argument("--seed", type=_whole_number_arg(0), default=0)
     p_ch.add_argument("--count", type=_whole_number_arg(0), default=1)
-    p_ch.add_argument("--max-delay-ns", type=_ns_arg, default=DEFAULT_MAX_DELAY)
+    p_ch.add_argument("--max-delay-ns", default=DEFAULT_MAX_DELAY,
+                      type=_unit_arg("ns", lambda s: s > 0, "a finite number of ns > 0"))
     p_ch.add_argument("--out", default="out/channels", help="output directory")
     p_ch.set_defaults(func=cmd_channel)
     return parser

@@ -20,7 +20,6 @@ __all__ = [
     "FrameConfig",
     "SampledWaveform",
     "SymbolSequence",
-    "monocycle",
     "sampled_monocycle",
     "draw_th_code",
     "place_symbols",
@@ -52,12 +51,12 @@ class ConfigError(ValueError):
 
 
 def _on_grid(value_s: float, sample_rate: float, name: str) -> int:
-    """Convert a duration to a whole number of samples, or raise."""
+    """Convert a duration to a whole number of at least one sample, or raise."""
     ticks = value_s * sample_rate
-    if ticks < 0 or abs(ticks - round(ticks)) > _GRID_TOL:
+    if ticks < 1 - _GRID_TOL or abs(ticks - round(ticks)) > _GRID_TOL:
         raise ConfigError(
-            f"{name} = {value_s!r} s is not a non-negative integer number of "
-            f"samples at sample_rate = {sample_rate!r} Hz", field=name
+            f"{name} = {value_s!r} s is not a whole number of at least one "
+            f"sample at sample_rate = {sample_rate!r} Hz", field=name
         )
     return int(round(ticks))
 
@@ -77,7 +76,6 @@ class FrameConfig:
     n_chips: int = 35
     ppm_shift: float = 1e-9
     pulse_duration: float = 0.8e-9
-    pulse_energy: float = 1.0
     th_code: tuple[int, ...] | None = None
     sample_rate: float = DEFAULT_SAMPLE_RATE
 
@@ -89,20 +87,12 @@ class FrameConfig:
                               field="n_frames_per_symbol")
         if self.n_chips < 1:
             raise ConfigError("n_chips must be >= 1", field="n_chips")
-        for name in ("frame_duration", "chip_duration", "ppm_shift",
-                     "pulse_duration", "sample_rate"):
-            if getattr(self, name) <= 0 and name != "ppm_shift":
-                raise ConfigError(f"{name} must be positive", field=name)
-        if self.ppm_shift < 0:
-            raise ConfigError("ppm_shift must be non-negative", field="ppm_shift")
-        if self.pulse_energy < 0:
-            raise ConfigError("pulse_energy must be non-negative", field="pulse_energy")
-        # Grid alignment: chip, frame, PPM shift and pulse duration must be
-        # whole numbers of samples so that shifts are sample-exact.
-        self.n_chip_samples
-        self.n_frame_samples
-        self.n_shift_samples
-        self.n_pulse_samples
+        if self.sample_rate <= 0:
+            raise ConfigError("sample_rate must be positive", field="sample_rate")
+        # Grid alignment: frame, chip, PPM shift and pulse duration must be
+        # whole numbers of at least one sample so that shifts are sample-exact.
+        for name in ("frame_duration", "chip_duration", "ppm_shift", "pulse_duration"):
+            _on_grid(getattr(self, name), self.sample_rate, name)
         if len(self.th_code) != self.n_frames_per_symbol:
             raise ConfigError(
                 f"th_code has length {len(self.th_code)}, expected "
@@ -212,58 +202,24 @@ class SymbolSequence:
 
 
 @lru_cache(maxsize=32)
-def _unit_amplitude(pulse_duration: float, sample_rate: float) -> float:
-    """Amplitude that gives the sampled pulse unit energy.
-
-    Normalization is numerical on the realized sample grid, not analytic,
-    so the discrete pulse energy is exactly 1 at this rate.
-    """
-    n = _on_grid(pulse_duration, sample_rate, "pulse_duration")
-    if n < 1:
-        raise ConfigError("pulse_duration shorter than one sample")
-    t = np.arange(n) / sample_rate
-    shape = _raw_shape(t, pulse_duration)
-    energy = np.dot(shape, shape) / sample_rate
-    return 1.0 / math.sqrt(energy)
-
-
-def _raw_shape(t: np.ndarray, pulse_duration: float) -> np.ndarray:
-    tau_m = pulse_duration / SHAPE_RATIO
-    u = (t - pulse_duration / 2.0) / tau_m
-    u2 = u * u
-    return (1.0 - 4.0 * math.pi * u2) * np.exp(-2.0 * math.pi * u2)
-
-
-def monocycle(t, pulse_duration: float, sample_rate: float = DEFAULT_SAMPLE_RATE):
-    """Second-derivative-Gaussian monocycle, causal on [0, pulse_duration].
-
-    The pulse is centered at pulse_duration/2 and scaled so the sampled
-    pulse has unit energy at ``sample_rate``.  Zero outside the support.
-    """
-    if pulse_duration <= 0:
-        raise ConfigError("pulse_duration must be positive")
-    t_arr = np.asarray(t, dtype=np.float64)
-    amp = _unit_amplitude(pulse_duration, sample_rate)
-    out = amp * _raw_shape(t_arr, pulse_duration)
-    out = np.where((t_arr >= 0.0) & (t_arr <= pulse_duration), out, 0.0)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
-
-
-@lru_cache(maxsize=32)
-def _sampled_monocycle_cached(pulse_duration: float, sample_rate: float):
-    n = _on_grid(pulse_duration, sample_rate, "pulse_duration")
-    t = np.arange(n) / sample_rate
-    pulse = monocycle(t, pulse_duration, sample_rate)
-    pulse.setflags(write=False)
-    return pulse
-
-
 def sampled_monocycle(pulse_duration: float,
                       sample_rate: float = DEFAULT_SAMPLE_RATE) -> np.ndarray:
-    """The unit-energy pulse on the sample grid (read-only array)."""
-    return _sampled_monocycle_cached(float(pulse_duration), float(sample_rate))
+    """The unit-energy pulse on the sample grid (read-only array).
+
+    A second-derivative-Gaussian monocycle centred at pulse_duration/2,
+    sampled at t = 0, 1/sample_rate, ... inside [0, pulse_duration).  The
+    amplitude is normalized numerically on this grid, not analytically, so
+    the discrete pulse energy is exactly 1 at this rate.
+    """
+    n = _on_grid(pulse_duration, sample_rate, "pulse_duration")
+    tau_m = pulse_duration / SHAPE_RATIO
+    u = (np.arange(n) / sample_rate - pulse_duration / 2.0) / tau_m
+    u2 = u * u
+    shape = (1.0 - 4.0 * math.pi * u2) * np.exp(-2.0 * math.pi * u2)
+    amp = 1.0 / math.sqrt(np.dot(shape, shape) / sample_rate)
+    pulse = amp * shape
+    pulse.setflags(write=False)
+    return pulse
 
 
 def draw_th_code(rng: np.random.Generator, cfg: FrameConfig) -> FrameConfig:
@@ -306,13 +262,12 @@ def generate_tx(symbols: SymbolSequence, cfg: FrameConfig) -> SampledWaveform:
     """Synthesize the TH-PPM pulse train for a bit sequence.
 
     Output length is exactly ``len(symbols) * cfg.n_symbol_samples``;
-    each frame carries one pulse of energy ``cfg.pulse_energy``, and a
+    each frame carries one unit-energy pulse, and a
     data bit of 1 shifts all pulses of its symbol by the PPM shift.
     Pulses never overlap, so placing one bit-0 symbol per bit is exact.
     """
     n_sym = cfg.n_symbol_samples
     pulse = sampled_monocycle(cfg.pulse_duration, cfg.sample_rate)
-    pulse = pulse * math.sqrt(cfg.pulse_energy)
     symbol = np.zeros(n_sym)
     for start in cfg.frame_start_samples():
         symbol[start:start + len(pulse)] = pulse

@@ -29,11 +29,11 @@ base_seed = 7
 
 # Values that need more than six significant digits to reload exactly.
 LONG_DIGITS_CONFIG = """\
-[frame]
-pulse_energy = 1.23456789
-
 [channel]
 max_delay_ns = 12.3456789
+
+[fine]
+fine_step_ns = 0.123456789
 
 [sweep]
 snr_grid_db = inf, 0.1234567
@@ -70,7 +70,7 @@ class TestConfig:
             manifest = tmp_path / "manifest.cfg"
             manifest.write_text(plan_to_config_text(plan, run_info={"tool_version": "x"}))
             assert load_plan(manifest) == plan
-        assert plan.frame_cfg.pulse_energy == 1.23456789
+        assert plan.fine_cfg.fine_step == 0.123456789e-9
         assert plan.snr_grid_db[1] == 0.1234567
 
     def test_unknown_key_is_named(self, tmp_path):
@@ -97,8 +97,11 @@ class TestConfig:
         ("[frame]\nth_code_seed = 0", "th_code_seed"),  # removed key
         ("[frame]\nth_code = 0, 1", "th_code"),  # removed key
         ("[coarse]\nsegment_origin_ns = 1120", "segment_origin_ns"),  # removed key
-        ("[frame]\npulse_energy = nan", "pulse_energy"),
-        ("[frame]\npulse_energy = 1e400", "pulse_energy"),
+        ("[frame]\npulse_energy = 1.0", "pulse_energy"),  # removed key
+        ("[frame]\nppm_shift_ns = nan", "ppm_shift_ns"),
+        ("[frame]\nppm_shift_ns = 0", "ppm_shift_ns"),  # no PPM: r(t+d) - r(t-d) = 0
+        ("[frame]\npulse_duration_ns = 0.00000001", "pulse_duration_ns"),
+        ("[frame]\nchip_duration_ns = 0.00000001", "chip_duration_ns"),
         ("[channel]\nmax_delay_ns = -5", "max_delay_ns"),
         ("[channel]\nmax_delay_ns = 0", "max_delay_ns"),
         ("[channel]\nmax_delay_ns = 1e400", "max_delay_ns"),
@@ -148,13 +151,13 @@ def frame_configs(draw):
     sample_rate = draw(st.floats(1e8, 1e12))
     n_frames = draw(st.integers(1, 4))
     n_chips = draw(st.integers(1, 5))
-    chip, shift, pulse, spare = (draw(st.integers(lo, 5)) for lo in (1, 0, 1, 0))
+    chip, shift, pulse, spare = (draw(st.integers(lo, 5)) for lo in (1, 1, 1, 0))
     frame = n_chips * chip + shift + pulse + spare
     return FrameConfig(
         n_frames_per_symbol=n_frames, frame_duration=frame / sample_rate,
         chip_duration=chip / sample_rate, n_chips=n_chips,
         ppm_shift=shift / sample_rate, pulse_duration=pulse / sample_rate,
-        pulse_energy=draw(st.floats(0.0, 1e6)), th_code=[0] * n_frames,
+        th_code=[0] * n_frames,
         sample_rate=sample_rate)
 
 
@@ -288,8 +291,13 @@ class TestDemoCommand:
 
     @pytest.mark.parametrize("snr", ["abc", "nan", "-inf"])
     def test_bad_snr_exits_2_naming_key(self, tmp_path, capsys, snr):
-        assert main(["demo", f"--snr={snr}", "--out", str(tmp_path)]) == 2
-        assert "snr" in capsys.readouterr().err
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", f"--snr={snr}", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --snr: expected a number of dB or 'inf'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["demo", "sweep"])
     def test_negative_env_seed_exits_2_naming_it(self, tmp_path, capsys,
@@ -332,7 +340,7 @@ class TestChannelCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--max-delay-ns: expected a finite number of ns" in err
-        assert "_ns_arg" not in err and "_decimal_unit" not in err
+        assert "invalid" not in err and "_decimal_unit" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value", [

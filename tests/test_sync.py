@@ -116,7 +116,7 @@ class TestDirtyCorrelation:
         r = make_received(cfg, bits, delta_tau)
         n_s = cfg.n_symbol_samples
         n_d = cfg.n_shift_samples
-        eps_r = cfg.n_frames_per_symbol * cfg.pulse_energy
+        eps_r = cfg.n_frames_per_symbol  # unit-energy pulses
         for k in range(1, 4):
             # oracle: independent index arithmetic on the raw array
             a = int(round((k * cfg.symbol_duration + delta_tau) * FS))

@@ -16,7 +16,6 @@ from uwbsync import (
     SymbolSequence,
     draw_th_code,
     generate_tx,
-    monocycle,
     sampled_monocycle,
 )
 from uwbsync.harness import build_trial_scene
@@ -29,38 +28,41 @@ TP = 0.8e-9
 
 class TestMonocycle:
     def test_even_symmetry_about_center(self):
-        for x in (0.05e-9, 0.13e-9, 0.31e-9, 0.39e-9):
-            left = monocycle(TP / 2 - x, TP, FS)
-            right = monocycle(TP / 2 + x, TP, FS)
-            assert left == pytest.approx(right, abs=0.0)
+        pulse = sampled_monocycle(TP, FS)
+        center = len(pulse) // 2  # t = TP / 2 falls on this sample
+        assert center / FS == pytest.approx(TP / 2, abs=1e-24)
+        left = pulse[center - 1:0:-1]
+        right = pulse[center + 1:]
+        assert left == pytest.approx(right, rel=1e-12, abs=1e-12 * pulse.max())
 
     def test_unit_energy_on_sample_grid(self):
         # Independent quadrature: plain Riemann sum over the support.
-        t = np.arange(int(round(TP * FS))) / FS
-        vals = monocycle(t, TP, FS)
-        energy = float(np.sum(vals ** 2) / FS)
+        pulse = sampled_monocycle(TP, FS)
+        assert len(pulse) == int(round(TP * FS))
+        energy = float(np.sum(pulse ** 2) / FS)
         assert energy == pytest.approx(1.0, abs=1e-6)
 
     def test_edge_amplitude_below_one_percent_of_peak(self):
-        t = np.arange(int(round(TP * FS))) / FS
-        vals = np.abs(monocycle(t, TP, FS))
-        assert abs(monocycle(0.0, TP, FS)) / vals.max() < 0.01
-        assert abs(monocycle(TP, TP, FS)) / vals.max() < 0.01
+        pulse = np.abs(sampled_monocycle(TP, FS))
+        assert pulse[0] / pulse.max() < 0.01
+        assert pulse[-1] / pulse.max() < 0.01
 
-    def test_zero_outside_support(self):
-        assert monocycle(-0.01e-9, TP, FS) == 0.0
-        assert monocycle(TP + 0.01e-9, TP, FS) == 0.0
-
-    def test_rejects_nonpositive_duration(self):
-        with pytest.raises(ConfigError):
-            monocycle(0.0, 0.0, FS)
-        with pytest.raises(ConfigError):
-            monocycle(0.0, -1e-9, FS)
-
-    def test_sampled_pulse_matches_pointwise_eval(self):
+    def test_matches_closed_form(self):
+        # w(t) = (1 - 4 pi x^2) exp(-2 pi x^2), x = (t - TP/2) / tau_m, has
+        # energy 3 tau_m / 8 over the real line.  The grid normalization
+        # differs from it only by the truncated tails and the Riemann sum,
+        # far below 1e-5 of the peak.
+        tau_m = TP / 2.5
+        x = (np.arange(40) / FS - TP / 2) / tau_m
+        w = (1 - 4 * np.pi * x ** 2) * np.exp(-2 * np.pi * x ** 2)
+        expected = w / math.sqrt(3 * tau_m / 8)
         pulse = sampled_monocycle(TP, FS)
-        t = np.arange(len(pulse)) / FS
-        assert np.array_equal(pulse, monocycle(t, TP, FS))
+        assert np.max(np.abs(pulse - expected)) <= 1e-5 * np.max(expected)
+
+    def test_is_cached_and_read_only(self):
+        pulse = sampled_monocycle(TP, FS)
+        assert sampled_monocycle(TP, FS) is pulse
+        assert not pulse.flags.writeable
 
 
 class TestFrameConfig:
@@ -81,6 +83,20 @@ class TestFrameConfig:
         with pytest.raises(ConfigError):
             FrameConfig(chip_duration=1.00001e-9,
                         th_code=tuple([0] * 32))
+
+    @pytest.mark.parametrize("name", ["frame_duration", "chip_duration",
+                                      "ppm_shift", "pulse_duration"])
+    @pytest.mark.parametrize("samples", [0, 1e-7, -1])
+    def test_durations_are_at_least_one_sample(self, name, samples):
+        with pytest.raises(ConfigError) as exc:
+            replace(FRAME, **{name: samples / FRAME.sample_rate})
+        assert exc.value.field == name
+        assert name in str(exc.value)
+
+    def test_pulse_shorter_than_one_sample_names_its_field(self):
+        with pytest.raises(ConfigError) as exc:
+            sampled_monocycle(1e-7 / FS, FS)
+        assert exc.value.field == "pulse_duration"
 
     def test_rejects_wrong_code_length(self):
         with pytest.raises(ConfigError):
@@ -137,7 +153,7 @@ class TestGenerateTx:
         tx = generate_tx(SymbolSequence.fixed([0]), cfg)
         pulse = sampled_monocycle(cfg.pulse_duration, cfg.sample_rate)
         expected = np.zeros(cfg.n_frame_samples)
-        expected[:len(pulse)] = math.sqrt(cfg.pulse_energy) * pulse
+        expected[:len(pulse)] = pulse
         assert np.array_equal(tx.samples, expected)
 
     def test_ppm_shift_is_sample_exact(self):
@@ -152,7 +168,7 @@ class TestGenerateTx:
         cfg = FRAME
         k = 4
         tx = generate_tx(SymbolSequence.random(k, 99), cfg)
-        expected = k * cfg.n_frames_per_symbol * cfg.pulse_energy
+        expected = k * cfg.n_frames_per_symbol
         assert energy(tx) == pytest.approx(expected, rel=1e-3)
 
     def test_per_frame_energy_no_leakage(self):
@@ -162,7 +178,7 @@ class TestGenerateTx:
         for i in range(cfg.n_frames_per_symbol):
             frame = tx.samples[i * nf:(i + 1) * nf]
             energy = float(np.sum(frame ** 2) / cfg.sample_rate)
-            assert energy == pytest.approx(cfg.pulse_energy, rel=1e-3)
+            assert energy == pytest.approx(1.0, rel=1e-3)
 
     def test_deterministic(self):
         cfg = FRAME
@@ -173,16 +189,13 @@ class TestGenerateTx:
 
     @settings(max_examples=30, deadline=None)
     @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=6),
-           code_seed=st.integers(0, 2**32 - 1),
-           energy=st.floats(0.0, 4.0))
-    def test_matches_per_pulse_loop(self, bits, code_seed, energy):
+           code_seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_pulse_loop(self, bits, code_seed):
         # Oracle: one pulse added per (symbol, frame) into a zero record.
         # Codes reach the last chip a bit-1 pulse can use without leaking.
-        cfg = replace(FRAME, pulse_energy=energy)
         code = np.random.default_rng(code_seed).integers(0, 34, 32)
-        cfg = cfg.with_th_code(code)
+        cfg = FRAME.with_th_code(code)
         pulse = sampled_monocycle(cfg.pulse_duration, cfg.sample_rate)
-        pulse = pulse * math.sqrt(energy)
         n_sym = cfg.n_symbol_samples
         expected = np.zeros(len(bits) * n_sym)
         for k, bit in enumerate(bits):
