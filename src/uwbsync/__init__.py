@@ -18,8 +18,6 @@ from .channel import (
     aggregate_template,
     partial_energies,
     rms_delay_spread,
-    taps_to_text,
-    taps_from_text,
 )
 from .sync import (
     CoarseConfig,

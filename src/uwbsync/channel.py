@@ -32,8 +32,6 @@ __all__ = [
     "aggregate_template",
     "partial_energies",
     "noise_std",
-    "taps_to_text",
-    "taps_from_text",
     "rms_delay_spread",
 ]
 
@@ -52,29 +50,9 @@ DEFAULT_MAX_DELAY = 25e-9
 _NORM_TOL = 1e-9
 
 
-def _snap_to_ns_grid(delay_s: float) -> float:
-    """Nearest double reachable from a nanosecond float via *1e-9.
-
-    Keeps every stored delay exactly representable in the two-column
-    (delay_ns, gain) text format; the adjustment is ~1 part in 2^52,
-    far below the sample grid the delays are later rounded to.
-    """
-    y0 = delay_s * 1e9
-    best = None
-    for y in (y0, math.nextafter(y0, math.inf), math.nextafter(y0, -math.inf)):
-        d = y * 1e-9
-        if best is None or abs(d - delay_s) < abs(best - delay_s):
-            best = d
-    return best
-
-
 @dataclass(frozen=True)
 class ChannelRealization:
-    """A multipath channel as a finite list of (gain, delay) taps.
-
-    Delays are snapped to nanosecond-representable doubles so text
-    serialization round-trips bit-exactly.
-    """
+    """A multipath channel as a finite list of (gain, delay) taps."""
 
     gains: tuple[float, ...]
     delays: tuple[float, ...]
@@ -83,7 +61,7 @@ class ChannelRealization:
 
     def __post_init__(self):
         gains = tuple(float(g) for g in self.gains)
-        delays = tuple(_snap_to_ns_grid(float(d)) for d in self.delays)
+        delays = tuple(float(d) for d in self.delays)
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "delays", delays)
         if len(gains) != len(delays) or len(gains) < 1:
@@ -206,7 +184,7 @@ def aggregate_template(ch: ChannelRealization, cfg: FrameConfig) -> SampledWavef
     over [0, symbol_duration + channel excess delay].  :func:`propagate` builds every record and
     its noise level from it; the estimators never see it.
     """
-    tx1 = generate_tx(SymbolSequence.fixed([0]), cfg)
+    tx1 = generate_tx(SymbolSequence([0]), cfg)
     return SampledWaveform(_apply_taps(tx1.samples, ch, cfg.sample_rate),
                            cfg.sample_rate)
 
@@ -281,47 +259,3 @@ def rms_delay_spread(ch: ChannelRealization) -> float:
     d = np.asarray(ch.delays)
     mean = float(np.sum(w * d) / np.sum(w))
     return math.sqrt(float(np.sum(w * (d - mean) ** 2) / np.sum(w)))
-
-
-def _exact_ns(delay_s: float) -> float:
-    """A nanosecond value whose *1e-9 reconstruction is bit-exact."""
-    y = delay_s * 1e9
-    for _ in range(8):
-        if y * 1e-9 == delay_s:
-            return y
-        y = math.nextafter(y, math.inf if y * 1e-9 < delay_s else -math.inf)
-    raise ValueError(f"cannot represent delay {delay_s!r} in ns exactly")
-
-
-def taps_to_text(ch: ChannelRealization) -> str:
-    """Serialize a realization as a two-column (delay_ns, gain) table."""
-    seed_token = "".join(str(ch.seed).split())
-    lines = [f"# model={ch.model} seed={seed_token} taps={ch.n_taps}"]
-    for g, d in zip(ch.gains, ch.delays):
-        lines.append(f"{_exact_ns(d)!r} {g!r}")
-    return "\n".join(lines) + "\n"
-
-
-def taps_from_text(text: str) -> ChannelRealization:
-    """Reload a realization written by :func:`taps_to_text` (bit-exact)."""
-    model = "fixed"
-    seed = None
-    gains = []
-    delays = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for tokenpair in line[1:].split():
-                if "=" in tokenpair:
-                    key, val = tokenpair.split("=", 1)
-                    if key == "model":
-                        model = val
-                    elif key == "seed" and val != "None":
-                        seed = val
-            continue
-        d_ns, g = line.split()
-        delays.append(float(d_ns) * 1e-9)
-        gains.append(float(g))
-    return ChannelRealization(tuple(gains), tuple(delays), seed=seed, model=model)

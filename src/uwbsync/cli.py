@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .waveform import ConfigError, FrameConfig
-from .channel import (DEFAULT_MAX_DELAY, generate_cm1, rms_delay_spread,
-                      taps_to_text, snr_ref_samples)
+from .channel import (DEFAULT_MAX_DELAY, ChannelRealization, generate_cm1,
+                      rms_delay_spread, snr_ref_samples)
 from .sync import COARSE_MODES, CoarseConfig, FineConfig
 from .harness import (ExperimentPlan, records_to_csv, run_sweep, sweep_workers,
                       sync_trial, wrapped_error)
@@ -84,6 +84,7 @@ def _decimal_unit(unit_exp: int):
 
     def parse(token) -> float:
         tok = str(token).strip()
+        _finite(float)(tok)  # junk, nan and inf fail as the user wrote them
         if "e" in tok.lower():
             return float(tok) * scale
         return float(f"{tok}e{unit_exp}")
@@ -100,6 +101,46 @@ _UNITS = {  # unit -> (parse a token, render a value as a token)
     "ns": _decimal_unit(-9),
     "GHz": _decimal_unit(9),
 }
+
+
+def taps_to_text(ch: ChannelRealization) -> str:
+    """Write a realization as a two-column (delay_ns, gain) table.
+
+    Delays are written the way a config writes an ``ns`` value, so
+    :func:`taps_from_text` reads back the same doubles.
+    """
+    render_ns = _UNITS["ns"][1]
+    seed_token = "".join(str(ch.seed).split())
+    lines = [f"# model={ch.model} seed={seed_token} taps={ch.n_taps}"]
+    for g, d in zip(ch.gains, ch.delays):
+        lines.append(f"{render_ns(d)} {g!r}")
+    return "\n".join(lines) + "\n"
+
+
+def taps_from_text(text: str) -> ChannelRealization:
+    """Reload a realization written by :func:`taps_to_text` (bit-exact)."""
+    parse_ns = _UNITS["ns"][0]
+    model = "fixed"
+    seed = None
+    gains = []
+    delays = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            for tokenpair in line[1:].split():
+                if "=" in tokenpair:
+                    key, val = tokenpair.split("=", 1)
+                    if key == "model":
+                        model = val
+                    elif key == "seed" and val != "None":
+                        seed = val
+            continue
+        d_ns, g = line.split()
+        delays.append(parse_ns(d_ns))
+        gains.append(float(g))
+    return ChannelRealization(tuple(gains), tuple(delays), seed=seed, model=model)
 
 
 def _parse(key: str, unit: str, text: str):
@@ -225,10 +266,12 @@ def _snr_definition_line(plan: ExperimentPlan) -> str:
     )
 
 
-def _write_objective(path: Path, xs, ys) -> None:
+def _write_objective(path: Path, times, ys) -> None:
+    """Write an objective curve as (time_ns, value) lines."""
+    render_ns = _UNITS["ns"][1]
     with open(path, "w") as fh:
-        for x, y in zip(xs, ys):
-            fh.write(f"{x!r} {y!r}\n")
+        for t, y in zip(times, ys):
+            fh.write(f"{render_ns(float(t))} {float(y)!r}\n")
 
 
 def cmd_sweep(args) -> int:
@@ -263,9 +306,9 @@ def _dump_objectives(plan: ExperimentPlan, out_dir: Path) -> None:
         _, est = sync_trial(plan, snr, m, mode, 0, gi)
         tag = f"snr{snr:g}_m{m}_{mode}".replace("-", "m")
         _write_objective(out_dir / f"objective_coarse_{tag}.txt",
-                         est.coarse_taus * 1e9, est.coarse_objective)
+                         est.coarse_taus, est.coarse_objective)
         _write_objective(out_dir / f"objective_fine_{tag}.txt",
-                         est.fine_offsets * plan.fine_cfg.fine_step * 1e9,
+                         est.fine_offsets * plan.fine_cfg.fine_step,
                          est.fine_objective)
 
 
@@ -289,9 +332,9 @@ def cmd_demo(args) -> int:
     print(f"coarse tau1 : {est.tau1 * 1e9:12.4f} ns   error {e1 * 1e9:+10.4f} ns")
     print(f"fine   tau2 : {est.tau2 * 1e9:12.4f} ns   error {e2 * 1e9:+10.4f} ns")
     _write_objective(out_dir / "demo_objective_coarse.txt",
-                     est.coarse_taus * 1e9, est.coarse_objective)
+                     est.coarse_taus, est.coarse_objective)
     _write_objective(out_dir / "demo_objective_fine.txt",
-                     est.fine_offsets * plan.fine_cfg.fine_step * 1e9,
+                     est.fine_offsets * plan.fine_cfg.fine_step,
                      est.fine_objective)
     print(f"objective curves written to {out_dir}/demo_objective_*.txt")
     return 0

@@ -208,7 +208,7 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
     extent = max(coarse_extent(cfg, cc), fine_extent(cfg, plan.fine_cfg, last_tau1)[1])
     k_total = -(-extent // cfg.n_symbol_samples)
     if mode == "da":
-        bits = SymbolSequence.fixed([training_pattern(k) for k in range(k_total)])
+        bits = SymbolSequence([training_pattern(k) for k in range(k_total)])
     else:
         bits = SymbolSequence.random(k_total, s_bits)
 

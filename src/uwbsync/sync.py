@@ -90,8 +90,6 @@ class FineConfig:
     @property
     def n_steps(self) -> int:
         """Scan size N; candidate steps are n = -N+1 ... N-1."""
-        if self.t_corr == 0:
-            return 1
         return max(1, int(math.ceil(self.t_corr / self.fine_step - 1e-9)))
 
 

@@ -192,10 +192,6 @@ class SymbolSequence:
         return len(self.bits)
 
     @classmethod
-    def fixed(cls, bits) -> "SymbolSequence":
-        return cls(tuple(bits))
-
-    @classmethod
     def random(cls, n: int, seed) -> "SymbolSequence":
         rng = np.random.default_rng(seed)
         return cls(tuple(rng.integers(0, 2, size=n).tolist()))

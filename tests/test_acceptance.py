@@ -84,7 +84,7 @@ def noiseless_trials():
     cc = CoarseConfig(n_symbols=16, mode="da")
     fc = plan.fine_cfg
     rng = np.random.default_rng(20260801)
-    bits = SymbolSequence.fixed([training_pattern(k) for k in range(16 + 12)])
+    bits = SymbolSequence([training_pattern(k) for k in range(16 + 12)])
     t0 = time.time()
     errs = []
     for _ in range(50):

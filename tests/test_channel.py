@@ -23,10 +23,9 @@ from uwbsync import (
     propagate,
     rms_delay_spread,
     single_path,
-    taps_from_text,
-    taps_to_text,
 )
 from uwbsync.channel import _apply_taps, noise_std, snr_ref_samples
+from uwbsync.cli import taps_from_text, taps_to_text
 
 from oracles import FRAME, dirty_correlation, energy
 
@@ -36,6 +35,17 @@ BITS = st.lists(st.integers(0, 1), min_size=1, max_size=5)
 CODES = st.integers(0, 2**32 - 1).map(
     lambda seed: tuple(np.random.default_rng(seed).integers(0, 34, 32)))
 OFFSETS = st.integers(0, 55_999).map(lambda n: n / 50e9)
+CM1_17 = generate_cm1(17)
+
+
+@st.composite
+def tap_lists(draw):
+    """(gains, delays): sorted delays in [0, 25 ns] from 0, unit energy."""
+    delays = [0.0] + sorted(draw(st.lists(st.floats(0.0, 25e-9), max_size=40)))
+    raw = draw(st.lists(st.floats(-1.0, 1.0).filter(lambda g: abs(g) >= 1e-3),
+                        min_size=len(delays), max_size=len(delays)))
+    norm = math.sqrt(sum(g * g for g in raw))
+    return [g / norm for g in raw], delays
 
 
 @pytest.fixture(scope="module")
@@ -101,23 +111,28 @@ class TestRealizations:
         with pytest.raises(ConfigError):
             ChannelRealization((1.0,), (1e-9,))
 
-    def test_text_round_trip_is_bit_exact(self):
-        ch = generate_cm1(17)
+    @settings(max_examples=200, deadline=None)
+    @given(taps=tap_lists(), model=st.sampled_from(["fixed", "cm1", "single_path"]))
+    @example(taps=(CM1_17.gains, CM1_17.delays), model="cm1")
+    def test_delays_are_kept_and_text_round_trips(self, taps, model):
+        gains, delays = taps
+        ch = ChannelRealization(gains, delays, model=model)
+        assert ch.delays == tuple(delays)
         back = taps_from_text(taps_to_text(ch))
         assert back.gains == ch.gains
         assert back.delays == ch.delays
-        assert back.model == "cm1"
+        assert back.model == ch.model
 
 
 class TestPropagate:
     def test_identity_channel_zero_offset(self, cfg):
-        bits = SymbolSequence.fixed([0, 1])
+        bits = SymbolSequence([0, 1])
         tx = generate_tx(bits, cfg)
         out = propagate(bits, single_path(), LinkParams(0.0, math.inf, 0), cfg)
         assert out.samples.tobytes() == tx.samples.tobytes()
 
     def test_pure_delay(self, cfg):
-        bits = SymbolSequence.fixed([0, 1])
+        bits = SymbolSequence([0, 1])
         tx = generate_tx(bits, cfg)
         off = 7e-9
         out = propagate(bits, single_path(), LinkParams(off, math.inf, 0), cfg)
@@ -126,7 +141,7 @@ class TestPropagate:
         assert np.all(out.samples[:n] == 0.0)
 
     def test_output_window_is_k_symbols(self, cfg):
-        out = propagate(SymbolSequence.fixed([0, 1, 0]), single_path(),
+        out = propagate(SymbolSequence([0, 1, 0]), single_path(),
                         LinkParams(1e-9, math.inf, 0), cfg)
         assert len(out.samples) == 3 * cfg.n_symbol_samples
 
@@ -135,7 +150,7 @@ class TestPropagate:
         # pulse width adds no cross terms: energy passes through intact.
         gains = np.full(5, 1.0 / math.sqrt(5.0))
         ch = ChannelRealization(tuple(gains), tuple(i * 2e-9 for i in range(5)))
-        bits = SymbolSequence.fixed([0, 1, 1, 0])
+        bits = SymbolSequence([0, 1, 1, 0])
         tx = generate_tx(bits, cfg)
         out = propagate(bits, ch, LinkParams(0.0, math.inf, 0), cfg)
         assert energy(out) == pytest.approx(energy(tx), rel=5e-3)
@@ -143,7 +158,7 @@ class TestPropagate:
     def test_cm1_energy_consistent_with_template(self, cfg):
         # With overlapping rays the energy deviates from the input by the
         # pulse cross terms; propagate and the template agree on it.
-        bits = SymbolSequence.fixed([0, 0, 0, 0])
+        bits = SymbolSequence([0, 0, 0, 0])
         tx = generate_tx(bits, cfg)
         ch = generate_cm1(3)
         out = propagate(bits, ch, LinkParams(0.0, math.inf, 0), cfg)
@@ -151,7 +166,7 @@ class TestPropagate:
         assert energy(out) / energy(tx) == pytest.approx(template_ratio, rel=1e-9)
 
     def test_rejects_offset_outside_symbol(self, cfg):
-        bits = SymbolSequence.fixed([0])
+        bits = SymbolSequence([0])
         with pytest.raises(ValueError):
             propagate(bits, single_path(),
                       LinkParams(cfg.symbol_duration, math.inf, 0), cfg)
@@ -159,7 +174,7 @@ class TestPropagate:
             propagate(bits, single_path(), LinkParams(-1e-9, math.inf, 0), cfg)
 
     def test_noise_deterministic_per_seed(self, cfg):
-        bits = SymbolSequence.fixed([0])
+        bits = SymbolSequence([0])
         a = propagate(bits, single_path(), LinkParams(0.0, 10.0, 42), cfg)
         b = propagate(bits, single_path(), LinkParams(0.0, 10.0, 42), cfg)
         c = propagate(bits, single_path(), LinkParams(0.0, 10.0, 43), cfg)
@@ -169,7 +184,7 @@ class TestPropagate:
     def test_rejects_a_pulse_train(self, cfg):
         # The old calling form passed the transmit waveform; its length
         # must not be read as a number of symbols.
-        tx = generate_tx(SymbolSequence.fixed([0, 1]), cfg)
+        tx = generate_tx(SymbolSequence([0, 1]), cfg)
         with pytest.raises(TypeError, match="SymbolSequence"):
             propagate(tx, single_path(), LinkParams(0.0, math.inf, 0), cfg)
         with pytest.raises(TypeError, match="SymbolSequence"):
@@ -187,7 +202,7 @@ class TestPropagate:
         # two agree to rounding.
         cfg = cfg.with_th_code(code)
         ch = generate_cm1(channel_seed)
-        bits = SymbolSequence.fixed(bits)
+        bits = SymbolSequence(bits)
         out = propagate(bits, ch, LinkParams(offset, math.inf, 0), cfg)
         expected = taps_over_train(bits, ch, offset, cfg)
         peak = float(np.max(np.abs(expected)))
@@ -200,7 +215,7 @@ class TestPropagate:
     @example(bits=[0, 1], code=(0,) * 32, offset=55_999 / 50e9)
     def test_single_path_record_is_bit_exact(self, cfg, bits, code, offset):
         cfg = cfg.with_th_code(code)
-        bits = SymbolSequence.fixed(bits)
+        bits = SymbolSequence(bits)
         out = propagate(bits, single_path(), LinkParams(offset, math.inf, 0), cfg)
         expected = taps_over_train(bits, single_path(), offset, cfg)
         assert out.samples.tobytes() == expected.tobytes()
@@ -235,7 +250,7 @@ class TestPropagate:
 class TestAggregateTemplate:
     def test_single_path_equals_one_symbol_train(self, cfg):
         t = aggregate_template(single_path(), cfg)
-        tx = generate_tx(SymbolSequence.fixed([0]), cfg)
+        tx = generate_tx(SymbolSequence([0]), cfg)
         assert np.allclose(t.samples, tx.samples, atol=1e-12)
 
     def test_energy_is_a_channel_constant_not_offset_dependent(self, cfg):
@@ -243,7 +258,7 @@ class TestAggregateTemplate:
         # offset is the offset-0 record delayed by whole samples, bit for
         # bit: the offset moves energy only across the window's end.
         ch = generate_cm1(9)
-        bits = SymbolSequence.fixed([0, 0, 0])
+        bits = SymbolSequence([0, 0, 0])
         base = propagate(bits, ch, LinkParams(0.0, math.inf, 0), cfg).samples
         for off in (13.7e-9, 411.3e-9):
             out = propagate(bits, ch, LinkParams(off, math.inf, 0), cfg).samples
@@ -283,7 +298,7 @@ class TestAggregateTemplate:
         idx = np.round(np.asarray(ch.delays) * cfg.sample_rate).astype(np.int64)
         kernel = np.zeros(int(idx[-1]) + 1)
         np.add.at(kernel, idx, np.asarray(ch.gains))
-        tx = generate_tx(SymbolSequence.fixed([0]), cfg)
+        tx = generate_tx(SymbolSequence([0]), cfg)
         expected = np.convolve(tx.samples, kernel)
         t = aggregate_template(ch, cfg)
         assert t.samples.shape == expected.shape
@@ -339,7 +354,7 @@ def test_symbol_long_energies_call_no_blas(cfg, monkeypatch):
     # A BLAS dot over a symbol runs threaded, so its last bits would depend
     # on the thread count.
     t = aggregate_template(generate_cm1(5), cfg)
-    r = propagate(SymbolSequence.fixed([1, 0, 1, 1, 0]), generate_cm1(5),
+    r = propagate(SymbolSequence([1, 0, 1, 1, 0]), generate_cm1(5),
                   LinkParams(300e-9, 10.0, 2), cfg)
 
     def no_blas(*args, **kwargs):

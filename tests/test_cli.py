@@ -2,15 +2,18 @@
 
 import configparser
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from uwbsync import (CoarseConfig, ExperimentPlan, FineConfig, FrameConfig,
-                     generate_cm1, taps_from_text)
-from uwbsync.cli import _SCHEMA, load_plan, main, plan_to_config_text
+                     generate_cm1)
+from uwbsync.cli import (_SCHEMA, load_plan, main, plan_to_config_text,
+                         taps_from_text)
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
@@ -98,7 +101,7 @@ class TestConfig:
         ("[frame]\nth_code = 0, 1", "th_code"),  # removed key
         ("[coarse]\nsegment_origin_ns = 1120", "segment_origin_ns"),  # removed key
         ("[frame]\npulse_energy = 1.0", "pulse_energy"),  # removed key
-        ("[frame]\nppm_shift_ns = nan", "ppm_shift_ns"),
+        ("[frame]\nppm_shift_ns = nan", "ppm_shift_ns: 'nan' is not finite"),
         ("[frame]\nppm_shift_ns = 0", "ppm_shift_ns"),  # no PPM: r(t+d) - r(t-d) = 0
         ("[frame]\npulse_duration_ns = 0.00000001", "pulse_duration_ns"),
         ("[frame]\nchip_duration_ns = 0.00000001", "chip_duration_ns"),
@@ -106,6 +109,7 @@ class TestConfig:
         ("[channel]\nmax_delay_ns = 0", "max_delay_ns"),
         ("[channel]\nmax_delay_ns = 1e400", "max_delay_ns"),
         ("[fine]\nt_corr_ns = 1e400", "t_corr_ns"),
+        ("[fine]\nt_corr_ns = inf", "t_corr_ns: 'inf' is not finite"),
         ("[sweep]\nsnr_grid_db = 0, 8, 0", "snr_grid_db"),
         ("[sweep]\nm_grid = 8, 8", "m_grid"),
         ("[sweep]\nmodes = da, da", "modes"),
@@ -133,7 +137,9 @@ class TestConfig:
         path.write_text(text + "\n")
         code = main(["sweep", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        assert "e-9" not in err  # the unit's exponent is never quoted back
 
     def test_env_seed_override(self, tiny_config, monkeypatch):
         monkeypatch.setenv("UWB_SYNC_SEED", "123456")
@@ -235,8 +241,10 @@ class TestSweepCommand:
                      "--dump-objectives"]) == 0
         dumps = list(out.glob("objective_coarse_*.txt"))
         assert len(dumps) == 2  # one per (snr, m, mode) group
-        two_col = dumps[0].read_text().splitlines()
-        assert all(len(line.split()) == 2 for line in two_col)
+        rows = [line.split() for line in dumps[0].read_text().splitlines()]
+        assert all(len(row) == 2 for row in rows)
+        assert [float(x) for x, _ in rows[:2]] == [0.0, 35.0]  # tau in ns
+        assert all(math.isfinite(float(y)) for _, y in rows)
 
 
 class TestDemoCommand:
@@ -311,15 +319,20 @@ class TestDemoCommand:
 
 
 class TestChannelCommand:
-    def test_single_fixture_round_trips(self, tmp_path):
+    def test_single_fixture_round_trips(self, tmp_path, monkeypatch):
+        drawn = []
+
+        def recording(seed, max_delay):
+            drawn.append(generate_cm1(seed, max_delay))
+            return drawn[-1]
+        monkeypatch.setattr("uwbsync.cli.generate_cm1", recording)
         out = tmp_path / "ch"
         assert main(["channel", "--seed", "0", "--count", "1",
                      "--out", str(out)]) == 0
         files = sorted(out.glob("taps_*.txt"))
-        assert len(files) == 1
+        assert len(files) == len(drawn) == 1
         ch = taps_from_text(files[0].read_text())
-        g = np.asarray(ch.gains)
-        assert abs(float(g @ g) - 1.0) <= 1e-9
+        assert (ch.gains, ch.delays, ch.model) == (drawn[0].gains, drawn[0].delays, "cm1")
         assert (out / "summary.txt").exists()
 
     def test_default_max_delay_matches_sweeps(self, tmp_path, monkeypatch):
@@ -370,3 +383,14 @@ class TestChannelCommand:
         text = (out / "summary.txt").read_text().splitlines()[-1]
         mean_ns = float(text.split("=")[1])
         assert 3.0 <= mean_ns <= 7.0
+
+
+def test_cli_module_runs_without_warnings():
+    # `python -m uwbsync.cli` imports the package first; if the package
+    # imported uwbsync.cli itself, runpy would warn that the module is
+    # already loaded, so uwbsync/__init__ must not import the CLI.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "uwbsync.cli", "--version"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

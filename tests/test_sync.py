@@ -41,7 +41,7 @@ def cfg():
 
 
 def make_received(cfg, bits, delta_tau, snr_db=math.inf, noise_seed=0):
-    return propagate(SymbolSequence.fixed(bits), single_path(),
+    return propagate(SymbolSequence(bits), single_path(),
                      LinkParams(delta_tau, snr_db, noise_seed), cfg)
 
 
@@ -171,7 +171,7 @@ class TestCoarseSync:
             ch = generate_cm1(3000 + seed)
             rng = np.random.default_rng(900 + seed)
             delta_tau = float(rng.uniform(0, t_s))
-            r = propagate(SymbolSequence.fixed(da_bits(8 + 12)), ch,
+            r = propagate(SymbolSequence(da_bits(8 + 12)), ch,
                           LinkParams(delta_tau, math.inf, 0), cfg)
             _, objective = coarse_sync(r, cfg, cc)
             taus = np.arange(len(objective)) * cc.search_step

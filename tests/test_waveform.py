@@ -150,7 +150,7 @@ class TestGenerateTx:
         # One frame, all-zero code, bit 0: the output is the bare pulse
         # padded to one frame.
         cfg = FrameConfig(n_frames_per_symbol=1, th_code=(0,), n_chips=1)
-        tx = generate_tx(SymbolSequence.fixed([0]), cfg)
+        tx = generate_tx(SymbolSequence([0]), cfg)
         pulse = sampled_monocycle(cfg.pulse_duration, cfg.sample_rate)
         expected = np.zeros(cfg.n_frame_samples)
         expected[:len(pulse)] = pulse
@@ -158,8 +158,8 @@ class TestGenerateTx:
 
     def test_ppm_shift_is_sample_exact(self):
         cfg = FRAME
-        tx0 = generate_tx(SymbolSequence.fixed([0]), cfg)
-        tx1 = generate_tx(SymbolSequence.fixed([1]), cfg)
+        tx0 = generate_tx(SymbolSequence([0]), cfg)
+        tx1 = generate_tx(SymbolSequence([1]), cfg)
         n = cfg.n_shift_samples
         assert np.array_equal(tx1.samples[n:], tx0.samples[:-n])
         assert np.all(tx1.samples[:n] == 0.0)
@@ -173,7 +173,7 @@ class TestGenerateTx:
 
     def test_per_frame_energy_no_leakage(self):
         cfg = FRAME
-        tx = generate_tx(SymbolSequence.fixed([1]), cfg)
+        tx = generate_tx(SymbolSequence([1]), cfg)
         nf = cfg.n_frame_samples
         for i in range(cfg.n_frames_per_symbol):
             frame = tx.samples[i * nf:(i + 1) * nf]
@@ -203,7 +203,7 @@ class TestGenerateTx:
                 start = (k * n_sym + i * cfg.n_frame_samples + c * cfg.n_chip_samples
                          + bit * cfg.n_shift_samples)
                 expected[start:start + len(pulse)] += pulse
-        tx = generate_tx(SymbolSequence.fixed(bits), cfg)
+        tx = generate_tx(SymbolSequence(bits), cfg)
         assert tx.samples.tobytes() == expected.tobytes()
 
     def test_output_length(self):
@@ -213,9 +213,9 @@ class TestGenerateTx:
 
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
-            SymbolSequence.fixed([0, 2, 1])
+            SymbolSequence([0, 2, 1])
         with pytest.raises(ValueError):
-            SymbolSequence.fixed([])
+            SymbolSequence([])
 
 
 class TestSampledWaveform:
