@@ -7,14 +7,13 @@ from .waveform import (
     SymbolSequence,
     sampled_monocycle,
     draw_th_code,
-    generate_tx,
 )
 from .channel import (
     ChannelRealization,
-    LinkParams,
     generate_cm1,
     single_path,
     propagate,
+    generate_tx,
     aggregate_template,
     partial_energies,
     rms_delay_spread,

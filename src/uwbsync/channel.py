@@ -1,9 +1,11 @@
-"""Multipath channel generation, propagation and noise injection.
+"""Multipath channels and record synthesis: pulse train, taps, offset, noise.
 
-Channel realizations follow the cluster/ray (Saleh-Valenzuela style)
-statistics of the IEEE 802.15.3a CM1 profile.  All realizations are
-energy-normalized and delay-shifted so the first tap sits at zero; the
-propagation delay of the link is modeled separately as the timing offset.
+Every record, the transmit train included, is synthesized here, from one
+received symbol template placed once per data bit.  Channel realizations
+follow the cluster/ray (Saleh-Valenzuela style) statistics of the IEEE
+802.15.3a CM1 profile.  All realizations are energy-normalized and
+delay-shifted so the first tap sits at zero; the propagation delay of the
+link is modeled separately as the timing offset.
 """
 
 from __future__ import annotations
@@ -18,17 +20,16 @@ from .waveform import (
     FrameConfig,
     SampledWaveform,
     SymbolSequence,
-    generate_tx,
-    place_symbols,
+    sampled_monocycle,
 )
 
 __all__ = [
     "CM1_PARAMS",
     "ChannelRealization",
-    "LinkParams",
     "generate_cm1",
     "single_path",
     "propagate",
+    "generate_tx",
     "aggregate_template",
     "partial_energies",
     "noise_std",
@@ -77,15 +78,6 @@ class ChannelRealization:
     @property
     def n_taps(self) -> int:
         return len(self.gains)
-
-
-@dataclass(frozen=True)
-class LinkParams:
-    """Per-trial link conditions: the offset to estimate, and the noise."""
-
-    timing_offset: float
-    snr_db: float = math.inf
-    noise_seed: object = None
 
 
 def _normalized(gains: np.ndarray, delays: np.ndarray, seed, model) -> ChannelRealization:
@@ -160,33 +152,25 @@ def snr_ref_samples(cfg: FrameConfig) -> int:
     return max(1, int(round(cfg.n_chip_samples / 2)))
 
 
-def _apply_taps(samples, ch: ChannelRealization, sample_rate: float):
-    """Convolve with the tap list as one exact shifted sum per tap.
-
-    Tap delays are rounded to the sample grid, and only the nonzero input
-    samples are shifted, so the cost scales as nonzero samples x taps.
-    A pulse train leaves most samples zero (about 2% are nonzero at the
-    default format).
-    """
-    idx = [int(round(d * sample_rate)) for d in ch.delays]
-    out = np.zeros(len(samples) + max(idx))
-    nz = np.flatnonzero(samples)
-    values = samples[nz]
-    for g, i in zip(ch.gains, idx):
-        out[nz + i] += g * values
-    return out
-
-
 def aggregate_template(ch: ChannelRealization, cfg: FrameConfig) -> SampledWaveform:
     """Noise-free received waveform of one isolated bit-0 symbol.
 
     This is the one-symbol pulse train convolved with the channel taps,
-    over [0, symbol_duration + channel excess delay].  :func:`propagate` builds every record and
-    its noise level from it; the estimators never see it.
+    over [0, symbol_duration + channel excess delay]: each tap, its delay
+    rounded to the grid, adds one shifted, scaled copy of the pulses.
+    Pulses never overlap, so only the pulse samples are shifted, and the
+    cost scales as pulse samples x taps.  This is the only code that
+    writes pulses; :func:`propagate` builds every record and its noise
+    level from the template, and the estimators never see it.
     """
-    tx1 = generate_tx(SymbolSequence([0]), cfg)
-    return SampledWaveform(_apply_taps(tx1.samples, ch, cfg.sample_rate),
-                           cfg.sample_rate)
+    pulse = sampled_monocycle(cfg.pulse_duration, cfg.sample_rate)
+    pos = (cfg.frame_start_samples()[:, None] + np.arange(len(pulse))).ravel()
+    values = np.tile(pulse, cfg.n_frames_per_symbol)
+    idx = [int(round(d * cfg.sample_rate)) for d in ch.delays]
+    out = np.zeros(cfg.n_symbol_samples + max(idx))
+    for g, i in zip(ch.gains, idx):
+        out[pos + i] += g * values
+    return SampledWaveform(out, cfg.sample_rate)
 
 
 def partial_energies(p_r: SampledWaveform, tau: float,
@@ -212,16 +196,18 @@ def partial_energies(p_r: SampledWaveform, tau: float,
     return eps_a, eps_b, eps_r
 
 
-def propagate(bits: SymbolSequence, ch: ChannelRealization, link: LinkParams,
-              cfg: FrameConfig) -> SampledWaveform:
+def propagate(bits: SymbolSequence, ch: ChannelRealization, cfg: FrameConfig, *,
+              timing_offset: float = 0.0, snr_db: float = math.inf,
+              noise_seed=None) -> SampledWaveform:
     """Transmit a bit sequence through the channel, the offset and AWGN.
 
     The noiseless record is the received one-symbol template
-    (:func:`aggregate_template`) overlap-added once per bit, delayed by
-    the timing offset; the same template sets the noise level.  The
-    output window is the bits' own, [0, K * symbol_duration) for K bits:
-    the template tails past it are cut.  Tap delays and the timing offset
-    are rounded to the sample grid.
+    (:func:`aggregate_template`) overlap-added once per bit, at
+    k*symbol_duration + bit*ppm_shift + timing_offset for symbol k; the
+    same template sets the noise level.  The output window is the bits'
+    own, [0, K * symbol_duration) for K bits: the template tails past it
+    are cut.  Tap delays and the timing offset are rounded to the sample
+    grid.
     """
     if not isinstance(bits, SymbolSequence):
         raise TypeError(
@@ -229,28 +215,37 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, link: LinkParams,
             f"{type(bits).__name__}"
         )
     t_s = cfg.symbol_duration
-    if not 0 <= link.timing_offset < t_s:
-        raise ValueError(
-            f"timing_offset = {link.timing_offset!r} outside [0, {t_s!r})"
-        )
+    if not 0 <= timing_offset < t_s:
+        raise ValueError(f"timing_offset = {timing_offset!r} outside [0, {t_s!r})")
     fs = cfg.sample_rate
-    n_off = int(round(link.timing_offset * fs))
+    n_sym = cfg.n_symbol_samples
+    n_off = int(round(timing_offset * fs))
     template = aggregate_template(ch, cfg).samples
-    out = place_symbols(bits, template, cfg, n_off)
+    out = np.zeros(len(bits) * n_sym)
+    for k, bit in enumerate(bits.bits):
+        start = k * n_sym + bit * cfg.n_shift_samples + n_off
+        seg = out[start:start + len(template)]
+        seg += template[:len(seg)]
 
-    if link.snr_db != math.inf:
+    if snr_db != math.inf:
         # np.sum, not np.dot: a BLAS dot this long runs threaded, and its
         # rounding (so the record) then depends on the BLAS thread count.
-        head = template[:cfg.n_symbol_samples]
+        head = template[:n_sym]
         e_sum = float(np.sum(head * head))
-        sigma = noise_std(e_sum, link.snr_db, snr_ref_samples(cfg))
+        sigma = noise_std(e_sum, snr_db, snr_ref_samples(cfg))
         # normal(0, sigma) draws 0.0 + sigma * z, so this is the same noise
         # without a second record-sized array.
-        noisy = np.random.default_rng(link.noise_seed).standard_normal(len(out))
+        noisy = np.random.default_rng(noise_seed).standard_normal(len(out))
         noisy *= sigma
         noisy += out
         out = noisy
     return SampledWaveform(out, fs)
+
+
+def generate_tx(symbols: SymbolSequence, cfg: FrameConfig) -> SampledWaveform:
+    """The TH-PPM transmit train of a bit sequence: its noiseless record
+    through the identity channel, ``len(symbols) * n_symbol_samples`` long."""
+    return propagate(symbols, single_path(), cfg)
 
 
 def rms_delay_spread(ch: ChannelRealization) -> float:

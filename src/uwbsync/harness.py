@@ -20,12 +20,11 @@ from .waveform import (
     FrameConfig,
     SymbolSequence,
     draw_th_code,
-    generate_tx,  # not called; the benchmark tracer wraps it (ROADMAP benchmark note)
 )
 from .channel import (
     DEFAULT_MAX_DELAY,
-    LinkParams,
     generate_cm1,
+    generate_tx,  # not called; the benchmark tracer wraps it (ROADMAP benchmark note)
     propagate,
     single_path,
 )
@@ -212,8 +211,8 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
     else:
         bits = SymbolSequence.random(k_total, s_bits)
 
-    link = LinkParams(timing_offset=delta_tau, snr_db=snr_db, noise_seed=s_noise)
-    r = propagate(bits, ch, link, cfg)
+    r = propagate(bits, ch, cfg, timing_offset=delta_tau, snr_db=snr_db,
+                  noise_seed=s_noise)
     return TrialScene(cfg, cc, ch, delta_tau, bits, r)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import ConfigError, FrameConfig, SampledWaveform
+from .waveform import ConfigError, FrameConfig, SampledWaveform, _on_grid
 
 __all__ = [
     "CoarseConfig",
@@ -61,14 +61,15 @@ class CoarseConfig:
             raise ConfigError("search_step must be positive", field="search_step")
 
     def grid_size(self, cfg: FrameConfig) -> int:
-        t_s = cfg.symbol_duration
-        ratio = t_s / self.search_step
-        if self.search_step > t_s or abs(ratio - round(ratio)) > 1e-6:
+        """Candidates in [0, T_s): a whole number of samples apart, and the
+        step divides the symbol, so every candidate is scored at its tau."""
+        step = _on_grid(self.search_step, cfg.sample_rate, "search_step")
+        if cfg.n_symbol_samples % step:
             raise ConfigError(
                 f"search_step {self.search_step!r} must divide the symbol "
-                f"duration {t_s!r}", field="search_step"
+                f"duration {cfg.symbol_duration!r}", field="search_step"
             )
-        return int(round(ratio))
+        return cfg.n_symbol_samples // step
 
 
 @dataclass(frozen=True)

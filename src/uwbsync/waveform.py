@@ -1,9 +1,10 @@
-"""TH-PPM impulse-radio waveform synthesis on a uniform sample grid.
+"""The TH-PPM signal format on a uniform sample grid: timing, pulse, hopping code.
 
 The transmit signal is a train of unit-energy monocycle pulses, one per
 frame, position-hopped by a per-frame chip code and position-modulated by
-the data bit.  Every timing parameter is required to sit on the sample
-grid so that shift properties are sample-exact and testable.
+the data bit; :mod:`uwbsync.channel` synthesizes it.  Every timing
+parameter is required to sit on the sample grid so that shift properties
+are sample-exact and testable.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ __all__ = [
     "SymbolSequence",
     "sampled_monocycle",
     "draw_th_code",
-    "place_symbols",
-    "generate_tx",
 ]
 
 DEFAULT_SAMPLE_RATE = 50e9
@@ -233,38 +232,3 @@ def draw_th_code(rng: np.random.Generator, cfg: FrameConfig) -> FrameConfig:
             continue
     raise ConfigError(f"could not draw a valid TH code in {TH_CODE_ATTEMPTS} "
                       "attempts", field="n_chips")
-
-
-def place_symbols(symbols: SymbolSequence, wave: np.ndarray, cfg: FrameConfig,
-                  offset: int = 0) -> np.ndarray:
-    """Overlap-add one waveform once per data bit over the symbols' window.
-
-    The output is exactly ``len(symbols) * n_symbol_samples`` long, the
-    one record window.  Symbol k's copy of ``wave`` starts at sample
-    k*n_symbol_samples + bit*n_shift_samples + offset (offset >= 0), and
-    whatever of it falls past the window is cut.
-    """
-    n_sym = cfg.n_symbol_samples
-    n_shift = cfg.n_shift_samples
-    out = np.zeros(len(symbols) * n_sym)
-    for k, bit in enumerate(symbols.bits):
-        start = k * n_sym + bit * n_shift + offset
-        seg = out[start:start + len(wave)]
-        seg += wave[:len(seg)]
-    return out
-
-
-def generate_tx(symbols: SymbolSequence, cfg: FrameConfig) -> SampledWaveform:
-    """Synthesize the TH-PPM pulse train for a bit sequence.
-
-    Output length is exactly ``len(symbols) * cfg.n_symbol_samples``;
-    each frame carries one unit-energy pulse, and a
-    data bit of 1 shifts all pulses of its symbol by the PPM shift.
-    Pulses never overlap, so placing one bit-0 symbol per bit is exact.
-    """
-    n_sym = cfg.n_symbol_samples
-    pulse = sampled_monocycle(cfg.pulse_duration, cfg.sample_rate)
-    symbol = np.zeros(n_sym)
-    for start in cfg.frame_start_samples():
-        symbol[start:start + len(pulse)] = pulse
-    return SampledWaveform(place_symbols(symbols, symbol, cfg), cfg.sample_rate)

@@ -3,12 +3,14 @@
 The dirty correlation here is the literal timing-with-dirty-templates
 statistic of Yang & Giannakis (IEEE Trans. Wireless Commun., 2005), one
 segment pair at a time; ``coarse_sync`` computes the same values through
-one prefix sum.  The two fine objectives are direct forms of ``fine_sync``.
+one prefix sum.  The two fine objectives are direct forms of ``fine_sync``,
+and the pulse train is written pulse by pulse, apart from the library's
+one synthesis path.
 """
 
 import numpy as np
 
-from uwbsync import FrameConfig, SampledWaveform, draw_th_code
+from uwbsync import FrameConfig, SampledWaveform, draw_th_code, sampled_monocycle
 
 # The default frame format with the hopping code of seed 0.  Its first draw
 # already keeps every pulse inside its frame, so the code is that draw:
@@ -19,6 +21,22 @@ FRAME = draw_th_code(np.random.default_rng(0), FrameConfig())
 def energy(w: SampledWaveform) -> float:
     """Riemann-sum energy, sum(x^2) / sample_rate."""
     return float(np.sum(w.samples * w.samples) / w.sample_rate)
+
+
+def pulse_train(bits, cfg: FrameConfig) -> np.ndarray:
+    """The transmit train of a list of 0/1 bits, one pulse written per
+    (symbol, frame): symbol k's pulse in frame i starts at k*n_s +
+    bit*n_shift + i*n_frame + th_code[i]*n_chip, and the train is exactly
+    K symbols long."""
+    pulse = sampled_monocycle(cfg.pulse_duration, cfg.sample_rate)
+    n_s = cfg.n_symbol_samples
+    out = np.zeros(len(bits) * n_s)
+    for k, bit in enumerate(bits):
+        for i, chip in enumerate(cfg.th_code):
+            start = (k * n_s + bit * cfg.n_shift_samples + i * cfg.n_frame_samples
+                     + chip * cfg.n_chip_samples)
+            out[start:start + len(pulse)] = pulse
+    return out
 
 
 def _segment_start(r: SampledWaveform, k: int, tau: float, cfg: FrameConfig) -> int:

@@ -17,7 +17,6 @@ from uwbsync import (
     CoarseConfig,
     ExperimentPlan,
     FineConfig,
-    LinkParams,
     SampledWaveform,
     SymbolSequence,
     aggregate_template,
@@ -89,7 +88,7 @@ def noiseless_trials():
     errs = []
     for _ in range(50):
         dtau = float(rng.uniform(0.0, TS))
-        r = propagate(bits, single_path(), LinkParams(dtau, math.inf, 0), cfg)
+        r = propagate(bits, single_path(), cfg, timing_offset=dtau)
         est = two_floor_sync(r, cfg, cc, fc)
         errs.append((wrapped_error(est.tau1, dtau, TS),
                      wrapped_error(est.tau2, dtau, TS)))
@@ -164,7 +163,7 @@ class TestCriterion03ObjectivePeak:
             ch = generate_cm1(9000 + seed)
             dtau = float(rng.uniform(0.0, TS))
             bits = SymbolSequence.random(64 + 12, 70_000 + seed)
-            r = propagate(bits, ch, LinkParams(dtau, math.inf, 0), cfg)
+            r = propagate(bits, ch, cfg, timing_offset=dtau)
             tau1, _ = coarse_sync(r, cfg, cc)
             err = abs(wrapped_error(tau1, dtau, TS))
             hits += err <= cc.search_step + 1e-15
@@ -271,7 +270,8 @@ class TestCriterion10ScaleInvariance:
             ch = generate_cm1(40_000 + trial)
             dtau = float(rng.uniform(0.0, TS))
             bits = SymbolSequence.random(8 + 12, 50_000 + trial)
-            r = propagate(bits, ch, LinkParams(dtau, 10.0, 60_000 + trial), cfg)
+            r = propagate(bits, ch, cfg, timing_offset=dtau, snr_db=10.0,
+                          noise_seed=60_000 + trial)
             ref = two_floor_sync(r, cfg, cc, fc)
             for scale in (1e-3, 1e3):
                 scaled = SampledWaveform(r.samples * scale, r.sample_rate)

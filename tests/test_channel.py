@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from uwbsync import (
     ChannelRealization,
     ConfigError,
-    LinkParams,
+    SampledWaveform,
     SymbolSequence,
     aggregate_template,
     generate_cm1,
@@ -24,10 +24,10 @@ from uwbsync import (
     rms_delay_spread,
     single_path,
 )
-from uwbsync.channel import _apply_taps, noise_std, snr_ref_samples
+from uwbsync.channel import noise_std, snr_ref_samples
 from uwbsync.cli import taps_from_text, taps_to_text
 
-from oracles import FRAME, dirty_correlation, energy
+from oracles import FRAME, dirty_correlation, energy, pulse_train
 
 BITS = st.lists(st.integers(0, 1), min_size=1, max_size=5)
 # Hopping codes up to chip 33, the last one a bit-1 pulse can use, so a
@@ -54,13 +54,15 @@ def cfg():
 
 
 def taps_over_train(bits, ch, offset, cfg):
-    """Oracle record: the taps applied to the whole pulse train, then delayed
-    and cut to the K-symbol window."""
-    sig = _apply_taps(generate_tx(bits, cfg).samples, ch, cfg.sample_rate)
-    out = np.zeros(len(bits) * cfg.n_symbol_samples)
+    """Oracle record: each tap, delay rounded to the grid, adds a scaled copy
+    of the whole pulse train, all delayed and cut to the K-symbol window."""
+    train = pulse_train(bits.bits, cfg)
+    out = np.zeros(len(train))
     n_off = int(round(offset * cfg.sample_rate))
-    end = min(len(out), n_off + len(sig))
-    out[n_off:end] = sig[:end - n_off]
+    for g, d in zip(ch.gains, ch.delays):
+        start = n_off + int(round(d * cfg.sample_rate))
+        if start < len(out):
+            out[start:] += g * train[:len(out) - start]
     return out
 
 
@@ -127,22 +129,21 @@ class TestRealizations:
 class TestPropagate:
     def test_identity_channel_zero_offset(self, cfg):
         bits = SymbolSequence([0, 1])
-        tx = generate_tx(bits, cfg)
-        out = propagate(bits, single_path(), LinkParams(0.0, math.inf, 0), cfg)
-        assert out.samples.tobytes() == tx.samples.tobytes()
+        out = propagate(bits, single_path(), cfg)
+        assert out.samples.tobytes() == pulse_train(bits.bits, cfg).tobytes()
 
     def test_pure_delay(self, cfg):
         bits = SymbolSequence([0, 1])
-        tx = generate_tx(bits, cfg)
+        tx = pulse_train(bits.bits, cfg)
         off = 7e-9
-        out = propagate(bits, single_path(), LinkParams(off, math.inf, 0), cfg)
+        out = propagate(bits, single_path(), cfg, timing_offset=off)
         n = int(round(off * cfg.sample_rate))
-        assert np.array_equal(out.samples[n:], tx.samples[:len(out.samples) - n])
+        assert np.array_equal(out.samples[n:], tx[:len(out.samples) - n])
         assert np.all(out.samples[:n] == 0.0)
 
     def test_output_window_is_k_symbols(self, cfg):
         out = propagate(SymbolSequence([0, 1, 0]), single_path(),
-                        LinkParams(1e-9, math.inf, 0), cfg)
+                        cfg, timing_offset=1e-9)
         assert len(out.samples) == 3 * cfg.n_symbol_samples
 
     def test_energy_preserved_through_nonoverlapping_channel(self, cfg):
@@ -151,17 +152,17 @@ class TestPropagate:
         gains = np.full(5, 1.0 / math.sqrt(5.0))
         ch = ChannelRealization(tuple(gains), tuple(i * 2e-9 for i in range(5)))
         bits = SymbolSequence([0, 1, 1, 0])
-        tx = generate_tx(bits, cfg)
-        out = propagate(bits, ch, LinkParams(0.0, math.inf, 0), cfg)
+        tx = SampledWaveform(pulse_train(bits.bits, cfg), cfg.sample_rate)
+        out = propagate(bits, ch, cfg)
         assert energy(out) == pytest.approx(energy(tx), rel=5e-3)
 
     def test_cm1_energy_consistent_with_template(self, cfg):
         # With overlapping rays the energy deviates from the input by the
         # pulse cross terms; propagate and the template agree on it.
         bits = SymbolSequence([0, 0, 0, 0])
-        tx = generate_tx(bits, cfg)
+        tx = SampledWaveform(pulse_train(bits.bits, cfg), cfg.sample_rate)
         ch = generate_cm1(3)
-        out = propagate(bits, ch, LinkParams(0.0, math.inf, 0), cfg)
+        out = propagate(bits, ch, cfg)
         template_ratio = energy(aggregate_template(ch, cfg)) / cfg.n_frames_per_symbol
         assert energy(out) / energy(tx) == pytest.approx(template_ratio, rel=1e-9)
 
@@ -169,15 +170,15 @@ class TestPropagate:
         bits = SymbolSequence([0])
         with pytest.raises(ValueError):
             propagate(bits, single_path(),
-                      LinkParams(cfg.symbol_duration, math.inf, 0), cfg)
+                      cfg, timing_offset=cfg.symbol_duration)
         with pytest.raises(ValueError):
-            propagate(bits, single_path(), LinkParams(-1e-9, math.inf, 0), cfg)
+            propagate(bits, single_path(), cfg, timing_offset=-1e-9)
 
     def test_noise_deterministic_per_seed(self, cfg):
         bits = SymbolSequence([0])
-        a = propagate(bits, single_path(), LinkParams(0.0, 10.0, 42), cfg)
-        b = propagate(bits, single_path(), LinkParams(0.0, 10.0, 42), cfg)
-        c = propagate(bits, single_path(), LinkParams(0.0, 10.0, 43), cfg)
+        a = propagate(bits, single_path(), cfg, snr_db=10.0, noise_seed=42)
+        b = propagate(bits, single_path(), cfg, snr_db=10.0, noise_seed=42)
+        c = propagate(bits, single_path(), cfg, snr_db=10.0, noise_seed=43)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
@@ -186,9 +187,9 @@ class TestPropagate:
         # must not be read as a number of symbols.
         tx = generate_tx(SymbolSequence([0, 1]), cfg)
         with pytest.raises(TypeError, match="SymbolSequence"):
-            propagate(tx, single_path(), LinkParams(0.0, math.inf, 0), cfg)
+            propagate(tx, single_path(), cfg)
         with pytest.raises(TypeError, match="SymbolSequence"):
-            propagate([0, 1], single_path(), LinkParams(0.0, math.inf, 0), cfg)
+            propagate([0, 1], single_path(), cfg)
 
     @settings(max_examples=25, deadline=None)
     @given(channel_seed=st.integers(0, 2**32 - 1), bits=BITS, code=CODES,
@@ -203,7 +204,7 @@ class TestPropagate:
         cfg = cfg.with_th_code(code)
         ch = generate_cm1(channel_seed)
         bits = SymbolSequence(bits)
-        out = propagate(bits, ch, LinkParams(offset, math.inf, 0), cfg)
+        out = propagate(bits, ch, cfg, timing_offset=offset)
         expected = taps_over_train(bits, ch, offset, cfg)
         peak = float(np.max(np.abs(expected)))
         assert out.samples.shape == expected.shape
@@ -216,7 +217,7 @@ class TestPropagate:
     def test_single_path_record_is_bit_exact(self, cfg, bits, code, offset):
         cfg = cfg.with_th_code(code)
         bits = SymbolSequence(bits)
-        out = propagate(bits, single_path(), LinkParams(offset, math.inf, 0), cfg)
+        out = propagate(bits, single_path(), cfg, timing_offset=offset)
         expected = taps_over_train(bits, single_path(), offset, cfg)
         assert out.samples.tobytes() == expected.tobytes()
 
@@ -225,8 +226,9 @@ class TestPropagate:
         # normal(0, sigma) drawn from the noise seed.
         bits = SymbolSequence.random(5, 4)
         ch = generate_cm1(12)
-        clean = propagate(bits, ch, LinkParams(300e-9, math.inf, 77), cfg)
-        noisy = propagate(bits, ch, LinkParams(300e-9, 4.0, 77), cfg)
+        clean = propagate(bits, ch, cfg, timing_offset=300e-9)
+        noisy = propagate(bits, ch, cfg, timing_offset=300e-9, snr_db=4.0,
+                          noise_seed=77)
         template = aggregate_template(ch, cfg).samples[:cfg.n_symbol_samples]
         sigma = noise_std(float(np.sum(template * template)), 4.0, snr_ref_samples(cfg))
         noise = np.random.default_rng(77).normal(0.0, sigma, len(clean.samples))
@@ -236,8 +238,8 @@ class TestPropagate:
         # Measured variance over ~1e6 noise-only samples within 1%.
         bits = SymbolSequence.random(18, 0)
         ch = single_path()
-        clean = propagate(bits, ch, LinkParams(0.0, math.inf, 1), cfg)
-        noisy = propagate(bits, ch, LinkParams(0.0, 6.0, 1), cfg)
+        clean = propagate(bits, ch, cfg)
+        noisy = propagate(bits, ch, cfg, snr_db=6.0, noise_seed=1)
         noise = noisy.samples - clean.samples
         assert len(noise) >= 1_000_000
         template = aggregate_template(ch, cfg)
@@ -250,8 +252,7 @@ class TestPropagate:
 class TestAggregateTemplate:
     def test_single_path_equals_one_symbol_train(self, cfg):
         t = aggregate_template(single_path(), cfg)
-        tx = generate_tx(SymbolSequence([0]), cfg)
-        assert np.allclose(t.samples, tx.samples, atol=1e-12)
+        assert t.samples.tobytes() == pulse_train([0], cfg).tobytes()
 
     def test_energy_is_a_channel_constant_not_offset_dependent(self, cfg):
         # The template never sees the timing offset, so the record at any
@@ -259,9 +260,9 @@ class TestAggregateTemplate:
         # bit: the offset moves energy only across the window's end.
         ch = generate_cm1(9)
         bits = SymbolSequence([0, 0, 0])
-        base = propagate(bits, ch, LinkParams(0.0, math.inf, 0), cfg).samples
+        base = propagate(bits, ch, cfg).samples
         for off in (13.7e-9, 411.3e-9):
-            out = propagate(bits, ch, LinkParams(off, math.inf, 0), cfg).samples
+            out = propagate(bits, ch, cfg, timing_offset=off).samples
             n = int(round(off * cfg.sample_rate))
             assert len(out) == len(base)
             assert np.all(out[:n] == 0.0)
@@ -298,8 +299,7 @@ class TestAggregateTemplate:
         idx = np.round(np.asarray(ch.delays) * cfg.sample_rate).astype(np.int64)
         kernel = np.zeros(int(idx[-1]) + 1)
         np.add.at(kernel, idx, np.asarray(ch.gains))
-        tx = generate_tx(SymbolSequence([0]), cfg)
-        expected = np.convolve(tx.samples, kernel)
+        expected = np.convolve(pulse_train([0], cfg), kernel)
         t = aggregate_template(ch, cfg)
         assert t.samples.shape == expected.shape
         peak = float(np.max(np.abs(expected)))
@@ -355,7 +355,7 @@ def test_symbol_long_energies_call_no_blas(cfg, monkeypatch):
     # on the thread count.
     t = aggregate_template(generate_cm1(5), cfg)
     r = propagate(SymbolSequence([1, 0, 1, 1, 0]), generate_cm1(5),
-                  LinkParams(300e-9, 10.0, 2), cfg)
+                  cfg, timing_offset=300e-9, snr_db=10.0, noise_seed=2)
 
     def no_blas(*args, **kwargs):
         raise AssertionError("BLAS call")

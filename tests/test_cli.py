@@ -126,6 +126,7 @@ class TestConfig:
         ("[frame]\nsample_rate_ghz = 0", "sample_rate_ghz"),
         ("[coarse]\nsearch_step_ns = 0", "search_step_ns"),
         ("[coarse]\nsearch_step_ns = 33", "search_step_ns"),  # does not divide T_s
+        ("[coarse]\nsearch_step_ns = 0.035", "search_step_ns"),  # 1.75 samples
         ("[fine]\nfine_step_ns = -1", "fine_step_ns"),
         ("[fine]\nn_symbols_avg = 0", "n_symbols_avg"),
         ("[fine]\nt_corr_ns = 1500", "t_corr_ns"),  # scan passes its one-symbol guard
@@ -172,6 +173,8 @@ def valid_plans(draw):
     """Valid plans, every config key drawn."""
     frame = draw(frame_configs())
     t_s = frame.symbol_duration
+    n_s = frame.n_symbol_samples
+    n_grid = draw(st.sampled_from([n for n in range(1, n_s + 1) if n_s % n == 0]))
     return ExperimentPlan(
         snr_grid_db=draw(st.lists(st.floats(-60.0, 60.0) | st.just(math.inf),
                                   min_size=1, max_size=5, unique=True)),
@@ -184,7 +187,7 @@ def valid_plans(draw):
         trials_per_cell=draw(st.integers(1, 10**6)),
         base_seed=draw(st.integers(0, 2**64)),
         frame_cfg=frame,
-        coarse_cfg=CoarseConfig(search_step=t_s / draw(st.integers(1, 64))),
+        coarse_cfg=CoarseConfig(search_step=t_s / n_grid),
         fine_cfg=FineConfig(t_corr=draw(st.floats(0.0, t_s)),
                             fine_step=draw(st.floats(1e-13, 1e-8)),
                             n_symbols_avg=draw(st.integers(1, 64))),

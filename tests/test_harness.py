@@ -1,6 +1,8 @@
 """Monte-Carlo harness: error metric, trial seeding, sweep aggregation."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,3 +183,30 @@ class TestCsv:
         lines = text.splitlines()
         assert lines[0] == "snr_db,m,mode,floor,normalized_mse,std_error,n_trials"
         assert lines[1] == "16,8,nda,coarse_only,0.000123457,3.3e-06,200"
+
+
+def test_benchmark_tracer_fits_the_library():
+    # perfbench/spans.py wraps stage functions by module and name, and reads
+    # a few argument and field names; a rename would break `--trace 1`.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    plan = ExperimentPlan(snr_grid_db=(8.0,), m_grid=(8,), modes=("nda",),
+                          trials_per_cell=1)
+    originals = [getattr(importlib.import_module(mod), attr)
+                 for mod, attr, _ in spans.STAGES]
+    tracer = spans.Tracer()
+    with tracer.installed():
+        records = run_sweep(plan)
+    assert [getattr(importlib.import_module(mod), attr)
+            for mod, attr, _ in spans.STAGES] == originals
+    assert records_to_csv(records) == records_to_csv(run_sweep(plan))
+    # Every stage but the transmit train (no trial builds one) ran once.
+    ran = {span[0] for span in tracer.spans}
+    assert ran == {name for *_, name in spans.STAGES} - {"waveform.generate_tx"}
+    flat, detail = spans.layer_metrics(tracer.spans, plan)
+    assert detail["trials"] == 1
+    assert flat["channel.aggregate_template.calls_per_trial"] == 1.0
+    assert flat["sync.record_bytes"] > 0
+    assert flat["sync.fine_sync.candidates"] == 2 * plan.fine_cfg.n_steps - 1

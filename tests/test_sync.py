@@ -10,7 +10,6 @@ from uwbsync import (
     CoarseConfig,
     ExperimentPlan,
     FineConfig,
-    LinkParams,
     SampledWaveform,
     SymbolSequence,
     coarse_sync,
@@ -42,7 +41,7 @@ def cfg():
 
 def make_received(cfg, bits, delta_tau, snr_db=math.inf, noise_seed=0):
     return propagate(SymbolSequence(bits), single_path(),
-                     LinkParams(delta_tau, snr_db, noise_seed), cfg)
+                     cfg, timing_offset=delta_tau, snr_db=snr_db, noise_seed=noise_seed)
 
 
 def da_bits(n):
@@ -172,7 +171,7 @@ class TestCoarseSync:
             rng = np.random.default_rng(900 + seed)
             delta_tau = float(rng.uniform(0, t_s))
             r = propagate(SymbolSequence(da_bits(8 + 12)), ch,
-                          LinkParams(delta_tau, math.inf, 0), cfg)
+                          cfg, timing_offset=delta_tau)
             _, objective = coarse_sync(r, cfg, cc)
             taus = np.arange(len(objective)) * cc.search_step
             dist = np.abs([wrapped_error(t, delta_tau, t_s) for t in taus])

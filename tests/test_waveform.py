@@ -1,4 +1,5 @@
-"""Waveform synthesis: pulse shape, hop codes, transmit train."""
+"""Signal format: pulse shape, hop codes, and the transmit train against a
+pulse-by-pulse oracle."""
 
 import math
 from dataclasses import replace
@@ -20,7 +21,7 @@ from uwbsync import (
 )
 from uwbsync.harness import build_trial_scene
 
-from oracles import FRAME, energy
+from oracles import FRAME, energy, pulse_train
 
 FS = 50e9
 TP = 0.8e-9
@@ -191,20 +192,12 @@ class TestGenerateTx:
     @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=6),
            code_seed=st.integers(0, 2**32 - 1))
     def test_matches_per_pulse_loop(self, bits, code_seed):
-        # Oracle: one pulse added per (symbol, frame) into a zero record.
+        # Oracle: one pulse written per (symbol, frame) into a zero record.
         # Codes reach the last chip a bit-1 pulse can use without leaking.
         code = np.random.default_rng(code_seed).integers(0, 34, 32)
         cfg = FRAME.with_th_code(code)
-        pulse = sampled_monocycle(cfg.pulse_duration, cfg.sample_rate)
-        n_sym = cfg.n_symbol_samples
-        expected = np.zeros(len(bits) * n_sym)
-        for k, bit in enumerate(bits):
-            for i, c in enumerate(cfg.th_code):
-                start = (k * n_sym + i * cfg.n_frame_samples + c * cfg.n_chip_samples
-                         + bit * cfg.n_shift_samples)
-                expected[start:start + len(pulse)] += pulse
         tx = generate_tx(SymbolSequence(bits), cfg)
-        assert tx.samples.tobytes() == expected.tobytes()
+        assert tx.samples.tobytes() == pulse_train(bits, cfg).tobytes()
 
     def test_output_length(self):
         cfg = FRAME
