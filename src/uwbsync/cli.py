@@ -74,20 +74,18 @@ def _finite(conv):
 def _decimal_unit(unit_exp: int):
     """(parse, render) for a unit of 10**unit_exp SI units (ns: -9, GHz: 9).
 
-    A plain token parses with no scaling round-off: "35.0" ns becomes
-    float("35.0e-9"), which is bit-identical to the literal 35e-9 the
-    library defaults use; multiplying by 1e-9 is not.  Rendering writes the
-    shortest round-trip decimal of the value shifted by the unit's power of
-    ten, a plain token that parses back to the same double.
+    A token parses with no scaling round-off: the unit's power of ten is
+    added to its exponent, so "35.0" ns becomes float("35.0e-9") and
+    "3.5e1" ns float("3.5e-8"), both bit-identical to the literal 35e-9
+    the library defaults use; multiplying by 1e-9 is not.  Rendering
+    writes the shortest round-trip decimal of the value shifted by the
+    unit's power of ten, a plain token that parses back to the same double.
     """
-    scale = float(f"1e{unit_exp}")
-
     def parse(token) -> float:
         tok = str(token).strip()
         _finite(float)(tok)  # junk, nan and inf fail as the user wrote them
-        if "e" in tok.lower():
-            return float(tok) * scale
-        return float(f"{tok}e{unit_exp}")
+        mantissa, _, exp = tok.lower().partition("e")
+        return float(f"{mantissa}e{int(exp or 0) + unit_exp}")
 
     def render(value: float) -> str:
         return format(Decimal(repr(value)).scaleb(-unit_exp).normalize(), "f")
@@ -202,7 +200,13 @@ def load_plan(path) -> ExperimentPlan:
     should fail loudly, not silently fall back to a default.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:  # repeated key or section, malformed line
+        where = getattr(exc, "option", None) or getattr(exc, "section", None)
+        text = " ".join(str(exc).split())
+        raise ConfigError(f"{where}: {text}" if where else text) from exc
+    if not found:
         raise ConfigError(f"config file {path!r} not found or unreadable")
     if parser.defaults():
         raise ConfigError(f"unknown config section [{parser.default_section}]")
@@ -374,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("config", help="config file (key-value text)")
     p_sweep.add_argument("--out", default="out", help="output directory")
     p_sweep.add_argument("--threads", type=_whole_number_arg(1), default=1,
-                         help="parallel trial-group workers")
+                         help="parallel trial workers")
     p_sweep.add_argument("--dump-objectives", action="store_true",
                          help="write objective curves for trial 0 of each cell")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -233,24 +233,17 @@ def run_trial(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
     return TrialResult(est.tau1, est.tau2, scene.delta_tau)
 
 
-def _run_group(plan: ExperimentPlan, group_index: int,
-               group: tuple[float, int, str]) -> list[TrialResult]:
-    snr, m, mode = group
-    return [run_trial(plan, snr, m, mode, t, group_index)
-            for t in range(plan.trials_per_cell)]
-
-
-def _group_task(args):
-    plan, group_index, group = args
-    return group_index, _run_group(plan, group_index, group)
+def _trial_task(args):
+    plan, group_index, (snr, m, mode), trial_index = args
+    return run_trial(plan, snr, m, mode, trial_index, group_index)
 
 
 def sweep_workers(plan: ExperimentPlan, n_workers: int) -> int:
     """Processes :func:`run_sweep` uses for ``n_workers``; 1 means serial.
 
-    A fork pool starts all its workers at once, so at most one per group.
+    A fork pool starts all its workers at once, so at most one per trial.
     """
-    return max(1, min(n_workers, len(plan.groups())))
+    return max(1, min(n_workers, len(plan.groups()) * plan.trials_per_cell))
 
 
 def run_sweep(plan: ExperimentPlan, n_workers: int = 1) -> list[MseRecord]:
@@ -262,18 +255,19 @@ def run_sweep(plan: ExperimentPlan, n_workers: int = 1) -> list[MseRecord]:
     and trial index, and records are assembled in plan order.
     """
     groups = plan.groups()
-    tasks = [(plan, gi, g) for gi, g in enumerate(groups)]
+    n = plan.trials_per_cell
+    tasks = [(plan, gi, g, t) for gi, g in enumerate(groups) for t in range(n)]
     workers = sweep_workers(plan, n_workers)
     if workers == 1:
-        results = {gi: trials for gi, trials in map(_group_task, tasks)}
+        results = list(map(_trial_task, tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = {gi: trials for gi, trials in pool.map(_group_task, tasks)}
+            results = list(pool.map(_trial_task, tasks))
 
     t_s = plan.frame_cfg.symbol_duration
     records = []
     for gi, (snr, m, mode) in enumerate(groups):
-        trials = results[gi]
+        trials = results[gi * n:(gi + 1) * n]
         for floor in plan.floors:
             errs = np.array([
                 wrapped_error(
@@ -282,7 +276,6 @@ def run_sweep(plan: ExperimentPlan, n_workers: int = 1) -> list[MseRecord]:
                 for t in trials
             ])
             sq = (errs / t_s) ** 2
-            n = len(sq)
             mse = float(np.mean(sq))
             std_error = float(np.std(sq, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
             records.append(MseRecord(snr, m, mode, floor, mse, std_error, n))

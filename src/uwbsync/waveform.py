@@ -142,10 +142,6 @@ class FrameConfig:
     def n_symbol_samples(self) -> int:
         return self.n_frames_per_symbol * self.n_frame_samples
 
-    def with_th_code(self, code) -> "FrameConfig":
-        """Copy of this config with a different TH code (re-validated)."""
-        return replace(self, th_code=tuple(int(c) for c in code))
-
     def frame_start_samples(self) -> np.ndarray:
         """Pulse start index of each frame within one symbol (bit 0)."""
         i = np.arange(self.n_frames_per_symbol)
@@ -227,7 +223,7 @@ def draw_th_code(rng: np.random.Generator, cfg: FrameConfig) -> FrameConfig:
     for _ in range(TH_CODE_ATTEMPTS):
         code = rng.integers(0, cfg.n_chips, size=cfg.n_frames_per_symbol)
         try:
-            return cfg.with_th_code(code)
+            return replace(cfg, th_code=code)
         except ConfigError:
             continue
     raise ConfigError(f"could not draw a valid TH code in {TH_CODE_ATTEMPTS} "

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The statistical
 criteria share a set of Monte-Carlo sweeps computed once per session
-with one worker per CPU; they took about two minutes on two cores.
+with one worker per CPU; they took about a minute on two cores.
 """
 
 import math
@@ -294,7 +294,7 @@ class TestCriterion11NullSanity:
         plan = ExperimentPlan(snr_grid_db=(-100.0,), m_grid=(8,),
                             modes=("nda",), floors=("coarse_plus_fine",),
                             trials_per_cell=500)
-        rec = run_sweep(plan)[0]
+        rec = run_sweep(plan, n_workers=os.cpu_count() or 1)[0]
         ratio = rec.normalized_mse / oracle
         ok = abs(ratio - 1.0) <= 0.15
         report("11 (null sanity)", ok,

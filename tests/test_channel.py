@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -201,7 +202,7 @@ class TestPropagate:
         # Where one symbol's channel tail overlaps the next symbol the
         # record adds two templates instead of summing tap by tap, so the
         # two agree to rounding.
-        cfg = cfg.with_th_code(code)
+        cfg = replace(cfg, th_code=code)
         ch = generate_cm1(channel_seed)
         bits = SymbolSequence(bits)
         out = propagate(bits, ch, cfg, timing_offset=offset)
@@ -215,7 +216,7 @@ class TestPropagate:
     # The last bit-1 copy starts past the window's end and is cut whole.
     @example(bits=[0, 1], code=(0,) * 32, offset=55_999 / 50e9)
     def test_single_path_record_is_bit_exact(self, cfg, bits, code, offset):
-        cfg = cfg.with_th_code(code)
+        cfg = replace(cfg, th_code=code)
         bits = SymbolSequence(bits)
         out = propagate(bits, single_path(), cfg, timing_offset=offset)
         expected = taps_over_train(bits, single_path(), offset, cfg)

@@ -132,6 +132,10 @@ class TestConfig:
         ("[fine]\nt_corr_ns = 1500", "t_corr_ns"),  # scan passes its one-symbol guard
         ("[frame]\nn_chips = 39", "n_chips"),  # a code draw fits too rarely
         ("[frame]\nn_chips = 45", "n_chips"),
+        ("[sweep]\nm_grid = 8\nm_grid = 16", "m_grid"),  # repeated key
+        ("[sweep]\nm_grid = 8\n[sweep]\nmodes = nda", "sweep"),  # repeated section
+        ("m_grid = 8\n[sweep]", "m_grid"),  # key before any section header
+        ("[sweep]\nm_grid", "m_grid"),  # key without a value
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, text, key):
         path = tmp_path / "bad.cfg"
@@ -141,6 +145,7 @@ class TestConfig:
         err = capsys.readouterr().err
         assert key in err
         assert "e-9" not in err  # the unit's exponent is never quoted back
+        assert not (tmp_path / "o").exists()
 
     def test_env_seed_override(self, tiny_config, monkeypatch):
         monkeypatch.setenv("UWB_SYNC_SEED", "123456")
@@ -150,6 +155,14 @@ class TestConfig:
     def test_inf_snr_parses(self, tiny_config):
         plan = load_plan(tiny_config)
         assert math.isinf(plan.snr_grid_db[0])
+
+    @pytest.mark.parametrize("token", ["0.8", "8e-1", "800e-3", "0.08E1"])
+    def test_exponent_tokens_load_the_same_double(self, tmp_path, monkeypatch, token):
+        # The default pulse duration is the literal 0.8e-9, however it is written.
+        monkeypatch.delenv("UWB_SYNC_SEED", raising=False)
+        path = tmp_path / "pulse.cfg"
+        path.write_text(f"[frame]\npulse_duration_ns = {token}\n")
+        assert load_plan(path) == ExperimentPlan()
 
 
 @st.composite
@@ -220,7 +233,7 @@ class TestSweepCommand:
         assert load_plan(out1 / "manifest.cfg") == plan
 
     def test_reports_the_workers_it_uses(self, tmp_path, capsys):
-        # One group runs serially whatever --threads asks for, so this
+        # One trial runs serially whatever --threads asks for, so this
         # starts no process.
         path = tmp_path / "one_group.cfg"
         path.write_text(TINY_CONFIG.replace("inf, 10", "inf")

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -142,8 +143,13 @@ class TestRunSweep:
         serial = records_to_csv(run_sweep(plan, n_workers=1))
         parallel = records_to_csv(run_sweep(plan, n_workers=2))
         assert serial == parallel
+        # One group runs on several workers too; 3 split its 4 trials unevenly.
+        one_group = replace(plan, modes=("nda",))
+        serial = records_to_csv(run_sweep(one_group, n_workers=1))
+        for workers in (2, 3):
+            assert records_to_csv(run_sweep(one_group, n_workers=workers)) == serial
 
-    def test_pool_starts_at_most_one_worker_per_group(self, monkeypatch):
+    def test_pool_starts_at_most_one_worker_per_trial(self, monkeypatch):
         started = []
 
         class InlinePool:
@@ -162,10 +168,10 @@ class TestRunSweep:
                 return map(fn, tasks)
 
         monkeypatch.setattr("uwbsync.harness.ProcessPoolExecutor", InlinePool)
-        plan = ExperimentPlan(snr_grid_db=(10.0,), m_grid=(8,), modes=("nda", "da"),
-                              trials_per_cell=1, channel_model="single_path")
+        plan = ExperimentPlan(snr_grid_db=(10.0,), m_grid=(8,), modes=("nda",),
+                              trials_per_cell=3, channel_model="single_path")
         pooled = records_to_csv(run_sweep(plan, n_workers=500))
-        assert started == [2]
+        assert started == [3]
         assert pooled == records_to_csv(run_sweep(plan, n_workers=1))
 
     def test_mse_within_wrapped_bound(self):

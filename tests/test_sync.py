@@ -1,6 +1,7 @@
 """Synchronizer floors: templates, correlations, coarse and fine search."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,7 +271,7 @@ class TestFineSync:
                                                  step, cell, snr_db, delta_tau,
                                                  noise_seed):
         # Steps of 1, 12.5 and 15 samples; 12.5 rounds half to even.
-        cfg = cfg.with_th_code(code)
+        cfg = replace(cfg, th_code=code)
         fc = FineConfig(t_corr=t_corr, fine_step=step, n_symbols_avg=k_avg)
         r = make_received(cfg, da_bits(14), delta_tau, snr_db, noise_seed)
         tau1 = cell * 35e-9
@@ -472,7 +473,7 @@ class TestBuffers:
         # change no bit.  With the all-zero code and a fine scan half a step
         # wider than a symbol, the first window at tau1 = 0 starts at sample
         # 0 and reads the prefix sum's leading zero.
-        cfg = cfg.with_th_code([0] * cfg.n_frames_per_symbol)
+        cfg = replace(cfg, th_code=[0] * cfg.n_frames_per_symbol)
         bits = list(np.random.default_rng(5).integers(0, 2, 20))
         r = make_received(cfg, bits, 500e-9, snr_db=10.0, noise_seed=3)
         step = cfg.symbol_duration / 1120

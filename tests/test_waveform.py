@@ -195,7 +195,7 @@ class TestGenerateTx:
         # Oracle: one pulse written per (symbol, frame) into a zero record.
         # Codes reach the last chip a bit-1 pulse can use without leaking.
         code = np.random.default_rng(code_seed).integers(0, 34, 32)
-        cfg = FRAME.with_th_code(code)
+        cfg = replace(FRAME, th_code=code)
         tx = generate_tx(SymbolSequence(bits), cfg)
         assert tx.samples.tobytes() == pulse_train(bits, cfg).tobytes()
 
