@@ -201,7 +201,10 @@ def load_plan(path) -> ExperimentPlan:
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        found = parser.read(path)
+        found = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {str(path)!r} is not UTF-8 text: "
+                          f"byte {exc.start} is 0x{exc.object[exc.start]:02x}") from exc
     except configparser.Error as exc:  # repeated key or section, malformed line
         where = getattr(exc, "option", None) or getattr(exc, "section", None)
         text = " ".join(str(exc).split())

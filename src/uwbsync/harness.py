@@ -15,6 +15,7 @@ from io import StringIO
 import numpy as np
 
 from .waveform import (
+    _GRID_TOL,
     TH_CODE_ATTEMPTS,
     ConfigError,
     FrameConfig,
@@ -117,6 +118,11 @@ class ExperimentPlan:
                 f"hopping code in {TH_CODE_ATTEMPTS} attempts", field="n_chips")
         fine = self.fine_cfg
         self.coarse_cfg.grid_size(frame)
+        # A step below one sample rescores the same offsets many times over.
+        if fine.fine_step * frame.sample_rate < 1 - _GRID_TOL:
+            raise ConfigError(
+                f"a step of {fine.fine_step * frame.sample_rate:g} samples is "
+                f"below one sample at {frame.sample_rate!r} Hz", field="fine_step")
         # The fine scan's guard is one symbol: at tau1 = 0 and a code
         # starting at chip 0, its first window must not start before sample 0.
         n_s = frame.n_symbol_samples

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .waveform import ConfigError, FrameConfig, SampledWaveform, _on_grid
 
@@ -180,21 +181,27 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig,
             f"have {len(x)} (M={m} plus guards)"
         )
 
-    # All (segment, tau) correlations come from one lagged product array:
-    # g[i] = r[i + n_s] * (r[i + n_d] - r[i - n_d]); a segment correlation
-    # is a window sum of g, so a prefix sum serves every candidate.  g and
-    # its prefix sum stop at the last window end any candidate reads; a
-    # cumulative sum is sequential, so its leading values do not change.
-    taus = np.arange(n_grid) * step_samples
-    starts = n_s + taus[:, None] + np.arange(m)[None, :] * n_s
-    end = int(starts.max()) + n_s
-    csum = np.empty(end + 1)  # csum[i] = g[0] + ... + g[i - 1], built in place
-    csum[:n_d + 1] = 0.0
-    g = csum[n_d + 1:]
-    np.subtract(x[2 * n_d:end + n_d], x[:end - n_d], out=g)
-    np.multiply(x[n_s + n_d:n_s + end], g, out=g)
-    np.cumsum(csum[1:], out=csum[1:])
-    corr = (csum[starts + n_s] - csum[starts]) / fs
+    # Every (segment, tau) correlation is a window sum of one lagged product,
+    # g[i] = r[i + n_s] * (r[i + n_d] - r[i - n_d]), over a segment starting
+    # at n_s + tau + k*n_s.  Each tau is a whole number of steps, and the
+    # step divides the symbol, so every segment is n_grid consecutive
+    # step-long blocks from sample n_s on.  g is built one symbol of blocks
+    # at a time in one reused buffer; the last symbol stops a step short, at
+    # the last sample any candidate reads.
+    blocks = np.empty((m + 1) * n_grid - 1)
+    buf = np.empty(n_s)
+    for k in range(m + 1):
+        nb = min(n_grid, len(blocks) - k * n_grid)
+        n = nb * step_samples
+        i = (k + 1) * n_s
+        g = buf[:n]
+        np.subtract(x[i + n_d:i + n_d + n], x[i - n_d:i - n_d + n], out=g)
+        np.multiply(x[i + n_s:i + n_s + n], g, out=g)
+        np.sum(g.reshape(nb, step_samples), axis=1,
+               out=blocks[k * n_grid:k * n_grid + nb])
+    # Segment k of candidate j starts at block j + k*n_grid.
+    seg = sliding_window_view(blocks, n_grid).sum(axis=1)
+    corr = seg.reshape(m, n_grid).T / fs
 
     if cc.mode == "nda":
         objective = np.mean(corr ** 2, axis=1)

@@ -2,11 +2,13 @@
 
 The dirty correlation here is the literal timing-with-dirty-templates
 statistic of Yang & Giannakis (IEEE Trans. Wireless Commun., 2005), one
-segment pair at a time; ``coarse_sync`` computes the same values through
-one prefix sum.  The two fine objectives are direct forms of ``fine_sync``,
-and the pulse train is written pulse by pulse, apart from the library's
-one synthesis path.
+segment pair at a time; ``coarse_sync`` computes the same values from
+sums of step-long blocks.  The two fine objectives are direct forms of
+``fine_sync``, and the pulse train is written pulse by pulse, apart from
+the library's one synthesis path.
 """
+
+import math
 
 import numpy as np
 
@@ -68,19 +70,22 @@ def difference_template(r: SampledWaveform, k: int, tau: float, cfg: FrameConfig
 
 
 def dirty_correlation(r: SampledWaveform, k: int, tau: float,
-                      cfg: FrameConfig) -> float:
+                      cfg: FrameConfig, exact: bool = False) -> float:
     """Correlation of segment k+1 against segment k's difference template.
 
     Riemann sum of the symbol-long product; the blind acquisition
-    statistic is built from these values.
+    statistic is built from these values.  ``exact`` sums the products
+    with ``math.fsum``, correctly rounded, so equal sets of products give
+    equal sums whatever their order.
     """
     template = difference_template(r, k, tau, cfg)
     n_s = cfg.n_symbol_samples
     i1 = _segment_start(r, k + 1, tau, cfg)
     if i1 < 0 or i1 + n_s > len(r.samples):
         raise ValueError("segment k+1 outside the record; provide guard symbols")
-    seg = r.samples[i1:i1 + n_s]
-    return float(np.sum(seg * template.samples) / cfg.sample_rate)
+    prod = r.samples[i1:i1 + n_s] * template.samples
+    total = math.fsum(prod) if exact else np.sum(prod)
+    return float(total / cfg.sample_rate)
 
 
 def fine_objective_loop(r, tau1, cfg, fc):

@@ -128,6 +128,8 @@ class TestConfig:
         ("[coarse]\nsearch_step_ns = 33", "search_step_ns"),  # does not divide T_s
         ("[coarse]\nsearch_step_ns = 0.035", "search_step_ns"),  # 1.75 samples
         ("[fine]\nfine_step_ns = -1", "fine_step_ns"),
+        ("[fine]\nfine_step_ns = 0.001", "fine_step_ns"),  # 0.05 samples
+        ("[fine]\nfine_step_ns = 0.019", "fine_step_ns"),  # 0.95 samples
         ("[fine]\nn_symbols_avg = 0", "n_symbols_avg"),
         ("[fine]\nt_corr_ns = 1500", "t_corr_ns"),  # scan passes its one-symbol guard
         ("[frame]\nn_chips = 39", "n_chips"),  # a code draw fits too rarely
@@ -145,6 +147,16 @@ class TestConfig:
         err = capsys.readouterr().err
         assert key in err
         assert "e-9" not in err  # the unit's exponent is never quoted back
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"[sweep]\nm_grid = 8\xff\n")
+        code = main(["sweep", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert str(path) in captured.err and "UTF-8" in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "o").exists()
 
     def test_env_seed_override(self, tiny_config, monkeypatch):
@@ -202,7 +214,7 @@ def valid_plans(draw):
         frame_cfg=frame,
         coarse_cfg=CoarseConfig(search_step=t_s / n_grid),
         fine_cfg=FineConfig(t_corr=draw(st.floats(0.0, t_s)),
-                            fine_step=draw(st.floats(1e-13, 1e-8)),
+                            fine_step=draw(st.floats(1.0, 1e4)) / frame.sample_rate,
                             n_symbols_avg=draw(st.integers(1, 64))),
         channel_model=draw(st.sampled_from(["cm1", "single_path"])),
         channel_max_delay=draw(st.floats(1e-12, 1e-6)),

@@ -55,6 +55,14 @@ class TestPlanGuards:
             ExperimentPlan(fine_cfg=FineConfig(t_corr=1121.5 * step, fine_step=step))
         assert exc.value.field == "t_corr"
 
+    def test_fine_step_is_at_least_one_sample(self):
+        # 0.02 ns is one sample at 50 GHz; 0.001 ns would score 560 000
+        # steps each way, about 20 per sample offset.
+        ExperimentPlan(fine_cfg=FineConfig(fine_step=0.02e-9))
+        with pytest.raises(ConfigError, match="below one sample") as exc:
+            ExperimentPlan(fine_cfg=FineConfig(fine_step=0.001e-9))
+        assert exc.value.field == "fine_step"
+
     def test_default_code_has_one_chip_per_frame(self):
         plan = ExperimentPlan(frame_cfg=FrameConfig(n_frames_per_symbol=16))
         assert plan.frame_cfg.th_code == (0,) * 16

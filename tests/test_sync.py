@@ -146,7 +146,7 @@ class TestCoarseSync:
             assert len(objective) == 32
 
     def test_fast_path_matches_literal_correlations(self, cfg):
-        # The prefix-sum objective must agree with per-segment literal
+        # The block-sum objective must agree with per-segment literal
         # dirty correlations.
         m = 6
         r = make_received(cfg, da_bits(m + 12), 87e-9, snr_db=14.0, noise_seed=5)
@@ -158,6 +158,49 @@ class TestCoarseSync:
             xs = [dirty_correlation(r, k, origin + tau, cfg) for k in range(m)]
             assert objective[gi] == pytest.approx(
                 float(np.mean(np.square(xs))), rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(code=st.lists(st.integers(0, 33), min_size=32, max_size=32),
+           m=st.integers(1, 4), mode=st.sampled_from(("nda", "da")),
+           cell=st.integers(0, 31), snr_db=st.sampled_from([0.0, 8.0, 20.0]),
+           delta_tau=st.floats(0.0, 1119e-9), noise_seed=st.integers(0, 2**16))
+    def test_objective_matches_the_literal_oracle(self, cfg, code, m, mode, cell,
+                                                  snr_db, delta_tau, noise_seed):
+        # Segment by segment against the literal dirty correlations.  The
+        # two sum the same products in different orders, so they agree to
+        # 1e-10 of the cell's mean squared correlation (the NDA objective,
+        # which bounds the DA one from above); the worst seen was 4.4e-13.
+        cfg = replace(cfg, th_code=code)
+        r = make_received(cfg, da_bits(m + 3), delta_tau, snr_db, noise_seed)
+        cc = CoarseConfig(n_symbols=m, mode=mode)
+        _, objective = coarse_sync(r, cfg, cc)
+        tau = cfg.symbol_duration + cell * cc.search_step
+        xs = np.array([dirty_correlation(r, k, tau, cfg) for k in range(m)])
+        scale = float(np.mean(xs ** 2))
+        signs = [training_pattern(k) - training_pattern(k + 1) for k in range(m)]
+        expected = scale if mode == "nda" else float(np.mean(signs * xs)) ** 2
+        assert abs(objective[cell] - expected) <= 1e-10 * scale
+
+    def test_exact_tie_goes_to_the_smallest_tau(self, cfg):
+        # Noiseless single path: candidates 9-12 read the same pulse
+        # products, so their objectives tie exactly (correctly rounded
+        # sums agree), and the tie goes to the smallest tau, 315 ns.
+        plan = ExperimentPlan(base_seed=1, channel_model="single_path",
+                              snr_grid_db=(math.inf,), m_grid=(16,))
+        scene = build_trial_scene(plan, math.inf, 16, "nda", 43, 0)
+        cc = scene.coarse_cfg
+        tau1, objective = coarse_sync(scene.received, scene.cfg, cc)
+        assert tau1 == 315e-9
+        assert len({objective[j].tobytes() for j in range(9, 13)}) == 1
+        assert objective[9] > max(objective[8], objective[13])
+        exact = {
+            math.fsum(dirty_correlation(scene.received, k,
+                                        scene.cfg.symbol_duration + j * cc.search_step,
+                                        scene.cfg, exact=True) ** 2
+                      for k in range(16))
+            for j in range(9, 13)
+        }
+        assert len(exact) == 1
 
     def test_da_objective_peaks_near_true_offset(self, cfg):
         # Noiseless over CM1 seeds: objective at the true cell beats every
@@ -364,7 +407,8 @@ class TestReadExtent:
                          min_size=1, max_size=40))
     def test_samples_past_the_last_read_change_nothing(self, cfg, record, m,
                                                        cell, tail):
-        # The invariant that lets both floors stop their prefix sums early.
+        # The invariant that lets the coarse floor stop its last block of
+        # sums, and the fine floor its prefix sum, at the last sample read.
         def cut(n, extra=()):
             return SampledWaveform(np.concatenate((record.samples[:n], extra)), FS)
 
