@@ -16,7 +16,6 @@ from .channel import (
     generate_tx,
     aggregate_template,
     partial_energies,
-    rms_delay_spread,
 )
 from .sync import (
     CoarseConfig,

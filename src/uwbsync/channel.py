@@ -33,7 +33,6 @@ __all__ = [
     "aggregate_template",
     "partial_energies",
     "noise_std",
-    "rms_delay_spread",
 ]
 
 # CM1 (LOS, 0-4 m) cluster/ray statistics.  Pinned here so they are
@@ -57,8 +56,6 @@ class ChannelRealization:
 
     gains: tuple[float, ...]
     delays: tuple[float, ...]
-    seed: object = None
-    model: str = "fixed"
 
     def __post_init__(self):
         gains = tuple(float(g) for g in self.gains)
@@ -80,12 +77,12 @@ class ChannelRealization:
         return len(self.gains)
 
 
-def _normalized(gains: np.ndarray, delays: np.ndarray, seed, model) -> ChannelRealization:
+def _normalized(gains: np.ndarray, delays: np.ndarray) -> ChannelRealization:
     order = np.argsort(delays, kind="stable")
     delays = delays[order] - delays[order][0]
     gains = gains[order]
     gains = gains / math.sqrt(float(np.sum(gains * gains)))
-    return ChannelRealization(tuple(gains), tuple(delays), seed=seed, model=model)
+    return ChannelRealization(tuple(gains), tuple(delays))
 
 
 def generate_cm1(seed, max_delay: float = DEFAULT_MAX_DELAY) -> ChannelRealization:
@@ -119,12 +116,12 @@ def generate_cm1(seed, max_delay: float = DEFAULT_MAX_DELAY) -> ChannelRealizati
             t_ray += rng.exponential(1.0 / p["ray_rate"])
         t_cluster += rng.exponential(1.0 / p["cluster_rate"])
     # max_delay > 0, so the first ray, at delay 0, is always drawn.
-    return _normalized(np.asarray(gains), np.asarray(delays), seed=seed, model="cm1")
+    return _normalized(np.asarray(gains), np.asarray(delays))
 
 
 def single_path() -> ChannelRealization:
     """The identity channel: one unit tap at delay 0."""
-    return ChannelRealization((1.0,), (0.0,), model="single_path")
+    return ChannelRealization((1.0,), (0.0,))
 
 
 def noise_std(symbol_energy_sumsq: float, snr_db: float, ref_samples: int) -> float:
@@ -246,11 +243,3 @@ def generate_tx(symbols: SymbolSequence, cfg: FrameConfig) -> SampledWaveform:
     """The TH-PPM transmit train of a bit sequence: its noiseless record
     through the identity channel, ``len(symbols) * n_symbol_samples`` long."""
     return propagate(symbols, single_path(), cfg)
-
-
-def rms_delay_spread(ch: ChannelRealization) -> float:
-    """Energy-weighted RMS spread of the tap delays, in seconds."""
-    w = np.asarray(ch.gains) ** 2
-    d = np.asarray(ch.delays)
-    mean = float(np.sum(w * d) / np.sum(w))
-    return math.sqrt(float(np.sum(w * (d - mean) ** 2) / np.sum(w)))

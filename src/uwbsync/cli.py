@@ -1,4 +1,4 @@
-"""Command-line front end: config-driven sweeps, single-trial demos, fixtures.
+"""Command-line front end: config-driven sweeps and single-trial demos.
 
 The config format is flat key/value text with sections (INI).  Times are
 given in nanoseconds, rates in GHz; everything else is dimensionless.
@@ -19,12 +19,9 @@ from decimal import Decimal
 from itertools import groupby
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .waveform import ConfigError, FrameConfig
-from .channel import (DEFAULT_MAX_DELAY, ChannelRealization, generate_cm1,
-                      rms_delay_spread, snr_ref_samples)
+from .channel import snr_ref_samples
 from .sync import COARSE_MODES, CoarseConfig, FineConfig
 from .harness import (ExperimentPlan, records_to_csv, run_sweep, sweep_workers,
                       sync_trial, wrapped_error)
@@ -92,53 +89,21 @@ def _decimal_unit(unit_exp: int):
     return _finite(parse), render
 
 
+def _db(token) -> float:
+    """A finite number of dB, or +inf (noiseless) where the token spells it:
+    an overflowing token such as 1e400 fails, as it does for ``ns``."""
+    if str(token).strip().lower().removeprefix("+") in ("inf", "infinity"):
+        return math.inf
+    return _finite(float)(token)
+
+
 _UNITS = {  # unit -> (parse a token, render a value as a token)
     "int": (int, str),
     "str": (str, str),
-    "dB": (float, repr),  # +inf is noiseless; ExperimentPlan rejects nan, -inf
+    "dB": (_db, repr),
     "ns": _decimal_unit(-9),
     "GHz": _decimal_unit(9),
 }
-
-
-def taps_to_text(ch: ChannelRealization) -> str:
-    """Write a realization as a two-column (delay_ns, gain) table.
-
-    Delays are written the way a config writes an ``ns`` value, so
-    :func:`taps_from_text` reads back the same doubles.
-    """
-    render_ns = _UNITS["ns"][1]
-    seed_token = "".join(str(ch.seed).split())
-    lines = [f"# model={ch.model} seed={seed_token} taps={ch.n_taps}"]
-    for g, d in zip(ch.gains, ch.delays):
-        lines.append(f"{render_ns(d)} {g!r}")
-    return "\n".join(lines) + "\n"
-
-
-def taps_from_text(text: str) -> ChannelRealization:
-    """Reload a realization written by :func:`taps_to_text` (bit-exact)."""
-    parse_ns = _UNITS["ns"][0]
-    model = "fixed"
-    seed = None
-    gains = []
-    delays = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for tokenpair in line[1:].split():
-                if "=" in tokenpair:
-                    key, val = tokenpair.split("=", 1)
-                    if key == "model":
-                        model = val
-                    elif key == "seed" and val != "None":
-                        seed = val
-            continue
-        d_ns, g = line.split()
-        delays.append(parse_ns(d_ns))
-        gains.append(float(g))
-    return ChannelRealization(tuple(gains), tuple(delays), seed=seed, model=model)
 
 
 def _parse(key: str, unit: str, text: str):
@@ -210,7 +175,7 @@ def load_plan(path) -> ExperimentPlan:
         text = " ".join(str(exc).split())
         raise ConfigError(f"{where}: {text}" if where else text) from exc
     if not found:
-        raise ConfigError(f"config file {path!r} not found or unreadable")
+        raise ConfigError(f"config file {str(path)!r} not found or unreadable")
     if parser.defaults():
         raise ConfigError(f"unknown config section [{parser.default_section}]")
     known = {(section, key) for section, key, _, _ in _SCHEMA}
@@ -347,28 +312,6 @@ def cmd_demo(args) -> int:
     return 0
 
 
-def cmd_channel(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = []
-    for i in range(args.count):
-        ss = np.random.SeedSequence(entropy=args.seed, spawn_key=(i,))
-        ch = generate_cm1(ss, args.max_delay_ns)
-        path = out_dir / f"taps_{i:04d}.txt"
-        path.write_text(taps_to_text(ch))
-        summary.append((i, ch.n_taps, rms_delay_spread(ch) * 1e9))
-    if summary:
-        mean_spread = sum(s for _, _, s in summary) / len(summary)
-        with open(out_dir / "summary.txt", "w") as fh:
-            fh.write("# index n_taps rms_delay_spread_ns\n")
-            for i, n, s in summary:
-                fh.write(f"{i} {n} {s:.4f}\n")
-            fh.write(f"# mean_rms_delay_spread_ns = {mean_spread:.4f}\n")
-        print(f"wrote {len(summary)} tap files to {out_dir} "
-              f"(mean RMS delay spread {mean_spread:.2f} ns)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uwbsync",
@@ -399,13 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--out", default="out", help="output directory")
     p_demo.set_defaults(func=cmd_demo)
 
-    p_ch = sub.add_parser("channel", help="generate channel tap-list fixtures")
-    p_ch.add_argument("--seed", type=_whole_number_arg(0), default=0)
-    p_ch.add_argument("--count", type=_whole_number_arg(0), default=1)
-    p_ch.add_argument("--max-delay-ns", default=DEFAULT_MAX_DELAY,
-                      type=_unit_arg("ns", lambda s: s > 0, "a finite number of ns > 0"))
-    p_ch.add_argument("--out", default="out/channels", help="output directory")
-    p_ch.set_defaults(func=cmd_channel)
     return parser
 
 

@@ -5,7 +5,8 @@ statistic of Yang & Giannakis (IEEE Trans. Wireless Commun., 2005), one
 segment pair at a time; ``coarse_sync`` computes the same values from
 sums of step-long blocks.  The two fine objectives are direct forms of
 ``fine_sync``, and the pulse train is written pulse by pulse, apart from
-the library's one synthesis path.
+the library's one synthesis path.  The RMS delay spread is the statistic
+the CM1 profile is specified by (Foerster et al., IEEE P802.15-02/490).
 """
 
 import math
@@ -23,6 +24,14 @@ FRAME = draw_th_code(np.random.default_rng(0), FrameConfig())
 def energy(w: SampledWaveform) -> float:
     """Riemann-sum energy, sum(x^2) / sample_rate."""
     return float(np.sum(w.samples * w.samples) / w.sample_rate)
+
+
+def rms_delay_spread(ch) -> float:
+    """Energy-weighted RMS spread of a channel's tap delays, in seconds."""
+    w = np.asarray(ch.gains) ** 2
+    d = np.asarray(ch.delays)
+    mean = float(np.sum(w * d) / np.sum(w))
+    return math.sqrt(float(np.sum(w * (d - mean) ** 2) / np.sum(w)))
 
 
 def pulse_train(bits, cfg: FrameConfig) -> np.ndarray:

@@ -10,10 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from uwbsync import (CoarseConfig, ExperimentPlan, FineConfig, FrameConfig,
-                     generate_cm1)
-from uwbsync.cli import (_SCHEMA, load_plan, main, plan_to_config_text,
-                         taps_from_text)
+from uwbsync import (ConfigError, CoarseConfig, ExperimentPlan, FineConfig,
+                     FrameConfig)
+from uwbsync.cli import _SCHEMA, load_plan, main, plan_to_config_text
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
@@ -94,6 +93,7 @@ class TestConfig:
         ("[sweep]\nsnr_grid_db = -inf", "snr_grid_db"),
         ("[sweep]\nsnr_grid_db = nan", "snr_grid_db"),
         ("[sweep]\nsnr_grid_db = 0, abc", "snr_grid_db"),
+        ("[sweep]\nsnr_grid_db = 1e400", "snr_grid_db"),  # overflows, not 'inf'
         ("[sweep]\nm_grid = 0", "m_grid"),
         ("[sweep]\nm_grid = -3", "m_grid"),
         ("[fine]\nvariant = th_matched", "variant"),  # removed key
@@ -159,6 +159,12 @@ class TestConfig:
         assert captured.out == ""
         assert not (tmp_path / "o").exists()
 
+    def test_missing_file_is_named_as_a_plain_path(self, tmp_path):
+        path = tmp_path / "nope.cfg"
+        with pytest.raises(ConfigError) as exc:
+            load_plan(path)
+        assert f"config file {str(path)!r} not found" in str(exc.value)
+
     def test_env_seed_override(self, tiny_config, monkeypatch):
         monkeypatch.setenv("UWB_SYNC_SEED", "123456")
         plan = load_plan(tiny_config)
@@ -167,6 +173,12 @@ class TestConfig:
     def test_inf_snr_parses(self, tiny_config):
         plan = load_plan(tiny_config)
         assert math.isinf(plan.snr_grid_db[0])
+
+    @pytest.mark.parametrize("token", ["+inf", "INF", "Infinity", "+infinity"])
+    def test_spelled_infinity_is_noiseless(self, tmp_path, token):
+        path = tmp_path / "snr.cfg"
+        path.write_text(f"[sweep]\nsnr_grid_db = {token}\n")
+        assert load_plan(path).snr_grid_db == (math.inf,)
 
     @pytest.mark.parametrize("token", ["0.8", "8e-1", "800e-3", "0.08E1"])
     def test_exponent_tokens_load_the_same_double(self, tmp_path, monkeypatch, token):
@@ -325,7 +337,7 @@ class TestDemoCommand:
         assert exc.value.code == 2
         assert "--m" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("snr", ["abc", "nan", "-inf"])
+    @pytest.mark.parametrize("snr", ["abc", "nan", "-inf", "1e400"])
     def test_bad_snr_exits_2_naming_key(self, tmp_path, capsys, snr):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
@@ -333,6 +345,15 @@ class TestDemoCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --snr: expected a number of dB or 'inf'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    def test_bad_seed_exits_2_naming_flag(self, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", f"--seed={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: expected a whole number >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["demo", "sweep"])
@@ -346,71 +367,13 @@ class TestDemoCommand:
         assert "UWB_SYNC_SEED" in capsys.readouterr().err
 
 
-class TestChannelCommand:
-    def test_single_fixture_round_trips(self, tmp_path, monkeypatch):
-        drawn = []
-
-        def recording(seed, max_delay):
-            drawn.append(generate_cm1(seed, max_delay))
-            return drawn[-1]
-        monkeypatch.setattr("uwbsync.cli.generate_cm1", recording)
-        out = tmp_path / "ch"
-        assert main(["channel", "--seed", "0", "--count", "1",
-                     "--out", str(out)]) == 0
-        files = sorted(out.glob("taps_*.txt"))
-        assert len(files) == len(drawn) == 1
-        ch = taps_from_text(files[0].read_text())
-        assert (ch.gains, ch.delays, ch.model) == (drawn[0].gains, drawn[0].delays, "cm1")
-        assert (out / "summary.txt").exists()
-
-    def test_default_max_delay_matches_sweeps(self, tmp_path, monkeypatch):
-        seen = []
-
-        def recording(seed, max_delay):
-            seen.append(max_delay)
-            return generate_cm1(seed, max_delay)
-        monkeypatch.setattr("uwbsync.cli.generate_cm1", recording)
-        assert main(["channel", "--out", str(tmp_path)]) == 0
-        assert seen == [25e-9]
-
-    @pytest.mark.parametrize("value", ["abc", "nan", "1e400", "0", "-3"])
-    def test_bad_max_delay_asks_for_ns(self, tmp_path, capsys, value):
-        out = tmp_path / "o"
-        with pytest.raises(SystemExit) as exc:
-            main(["channel", f"--max-delay-ns={value}", "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--max-delay-ns: expected a finite number of ns" in err
-        assert "invalid" not in err and "_decimal_unit" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command, flag, value", [
-        ("channel", "--seed", "-1"),
-        ("channel", "--seed", "abc"),
-        ("channel", "--count", "-2"),
-        ("demo", "--seed", "-1"),
-    ])
-    def test_negative_seed_or_count_exits_2_naming_flag(self, tmp_path, capsys,
-                                                        command, flag, value):
-        out = tmp_path / "o"
-        with pytest.raises(SystemExit) as exc:
-            main([command, f"{flag}={value}", "--out", str(out)])
-        assert exc.value.code == 2
-        assert f"argument {flag}: expected a whole number >= 0" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_count_zero_writes_nothing(self, tmp_path):
-        out = tmp_path / "empty"
-        assert main(["channel", "--count", "0", "--out", str(out)]) == 0
-        assert list(out.glob("taps_*.txt")) == []
-
-    def test_summary_mean_delay_spread_band(self, tmp_path):
-        out = tmp_path / "many"
-        assert main(["channel", "--seed", "3", "--count", "300",
-                     "--out", str(out)]) == 0
-        text = (out / "summary.txt").read_text().splitlines()[-1]
-        mean_ns = float(text.split("=")[1])
-        assert 3.0 <= mean_ns <= 7.0
+def test_channel_command_is_gone(tmp_path, capsys):
+    out = tmp_path / "channels"
+    with pytest.raises(SystemExit) as exc:
+        main(["channel", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'channel'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_module_runs_without_warnings():
