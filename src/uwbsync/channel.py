@@ -11,7 +11,10 @@ link is modeled separately as the timing offset.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -204,7 +207,8 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, cfg: FrameConfig, *,
     same template sets the noise level.  The output window is the bits'
     own, [0, K * symbol_duration) for K bits: the template tails past it
     are cut.  Tap delays and the timing offset are rounded to the sample
-    grid.
+    grid.  The record is one array: the noise draw (zeros when noiseless),
+    with the templates added into it in place.
     """
     if not isinstance(bits, SymbolSequence):
         raise TypeError(
@@ -218,24 +222,32 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, cfg: FrameConfig, *,
     n_sym = cfg.n_symbol_samples
     n_off = int(round(timing_offset * fs))
     template = aggregate_template(ch, cfg).samples
-    out = np.zeros(len(bits) * n_sym)
-    for k, bit in enumerate(bits.bits):
-        start = k * n_sym + bit * cfg.n_shift_samples + n_off
-        seg = out[start:start + len(template)]
-        seg += template[:len(seg)]
-
-    if snr_db != math.inf:
+    n = len(bits) * n_sym
+    if snr_db == math.inf:
+        out = np.zeros(n)
+    else:
         # np.sum, not np.dot: a BLAS dot this long runs threaded, and its
         # rounding (so the record) then depends on the BLAS thread count.
         head = template[:n_sym]
-        e_sum = float(np.sum(head * head))
-        sigma = noise_std(e_sum, snr_db, snr_ref_samples(cfg))
-        # normal(0, sigma) draws 0.0 + sigma * z, so this is the same noise
-        # without a second record-sized array.
-        noisy = np.random.default_rng(noise_seed).standard_normal(len(out))
-        noisy *= sigma
-        noisy += out
-        out = noisy
+        sigma = noise_std(float(np.sum(head * head)), snr_db, snr_ref_samples(cfg))
+        # The same noise as normal(0, sigma), which draws 0.0 + sigma * z.
+        out = np.random.default_rng(noise_seed).standard_normal(n)
+        out *= sigma
+
+    # The PPM shift is shorter than a symbol, so template starts rise with
+    # k, and between two consecutive template edges one run of consecutive
+    # symbols covers every sample.  Where the run has two or more (a channel
+    # tail across a symbol boundary), their samples are summed in symbol
+    # order before the one add into the record: sigma*z + (t_a + t_b).
+    starts = [k * n_sym + bit * cfg.n_shift_samples + n_off
+              for k, bit in enumerate(bits.bits)]
+    ends = [s + len(template) for s in starts]
+    edges = sorted({min(e, n) for e in starts + ends})
+    for a, b in zip(edges, edges[1:]):
+        run = range(bisect_right(ends, a), bisect_right(starts, a))
+        if run:
+            out[a:b] += reduce(operator.add,
+                               (template[a - starts[k]:b - starts[k]] for k in run))
     return SampledWaveform(out, fs)
 
 

@@ -124,16 +124,14 @@ def _render(unit: str, value) -> str:
     return render(value)
 
 
-def _unit_arg(unit: str, accept, expected: str):
-    """argparse type for a flag: a value of ``unit`` that ``accept`` admits."""
+def _unit_arg(unit: str, expected: str):
+    """argparse type for a flag: a value of ``unit``."""
     def parse(token: str):
         try:
-            value = _UNITS[unit][0](token)
-            if accept(value):
-                return value
+            return _UNITS[unit][0](token)
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {token!r}")
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {token!r}") from None
     return parse
 
 
@@ -331,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run and inspect a single trial")
     p_demo.add_argument("--snr", default="inf", help="SNR in dB, or 'inf' (noiseless)",
-                        type=_unit_arg("dB", lambda db: db > -math.inf,  # false for nan
-                                       "a number of dB or 'inf'"))
+                        type=_unit_arg("dB", "a number of dB or 'inf'"))
     p_demo.add_argument("--m", type=_whole_number_arg(1), default=16,
                         help="observation symbols M")
     p_demo.add_argument("--mode", choices=COARSE_MODES, default="da")

@@ -243,13 +243,18 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     lag = 2 * n_s
     window = cfg.n_pulse_samples + cfg.n_shift_samples
     frame_pos = cfg.frame_start_samples()
-    # Lagged products and their prefix sum up to the last window end read;
-    # w[j] is the sum of the window starting at j.
+    # Lagged products and their prefix sum up to the last window end read,
+    # then the window sums written over it: csum[j + window] -= csum[j],
+    # one symbol-long block at a time from the top, so no block is read
+    # after it is overwritten.  w[j] is the sum of the window starting at j.
     csum = np.empty(hi - lag + 1)
     csum[0] = 0.0
     np.multiply(x[:hi - lag], x[lag:hi], out=csum[1:])
     np.cumsum(csum[1:], out=csum[1:])
-    w = csum[window:] - csum[:-window]
+    w = csum[window:]
+    for top in range(len(w), 0, -n_s):
+        a = max(0, top - n_s)
+        np.subtract(w[a:top], csum[a:top], out=w[a:top])
     # One (candidate, frame) index of window starts serves every symbol:
     # symbol k reads it k symbols on, so each gather covers about one
     # symbol of w.  sums[c, k] is candidate c's frame sum in symbol k.

@@ -5,15 +5,25 @@ statistic of Yang & Giannakis (IEEE Trans. Wireless Commun., 2005), one
 segment pair at a time; ``coarse_sync`` computes the same values from
 sums of step-long blocks.  The two fine objectives are direct forms of
 ``fine_sync``, and the pulse train is written pulse by pulse, apart from
-the library's one synthesis path.  The RMS delay spread is the statistic
-the CM1 profile is specified by (Foerster et al., IEEE P802.15-02/490).
+the library's one synthesis path.  The record oracle composes a record
+from two arrays, the templates overlap-added into zeros and then the
+scaled noise draw plus that sum, where ``propagate`` writes one.  The RMS
+delay spread is the statistic the CM1 profile is specified by (Foerster
+et al., IEEE P802.15-02/490).
 """
 
 import math
 
 import numpy as np
 
-from uwbsync import FrameConfig, SampledWaveform, draw_th_code, sampled_monocycle
+from uwbsync import (
+    FrameConfig,
+    SampledWaveform,
+    aggregate_template,
+    draw_th_code,
+    sampled_monocycle,
+)
+from uwbsync.channel import noise_std, snr_ref_samples
 
 # The default frame format with the hopping code of seed 0.  Its first draw
 # already keeps every pulse inside its frame, so the code is that draw:
@@ -48,6 +58,25 @@ def pulse_train(bits, cfg: FrameConfig) -> np.ndarray:
                      + chip * cfg.n_chip_samples)
             out[start:start + len(pulse)] = pulse
     return out
+
+
+def record(bits, ch, cfg: FrameConfig, timing_offset: float = 0.0,
+           snr_db: float = math.inf, noise_seed=None) -> np.ndarray:
+    """The received record in two arrays: the channel template overlap-added
+    into zeros once per bit, in symbol order, then sigma * z + that sum."""
+    template = aggregate_template(ch, cfg).samples
+    n_s = cfg.n_symbol_samples
+    n_off = int(round(timing_offset * cfg.sample_rate))
+    out = np.zeros(len(bits) * n_s)
+    for k, bit in enumerate(bits.bits):
+        start = k * n_s + bit * cfg.n_shift_samples + n_off
+        seg = out[start:start + len(template)]
+        seg += template[:len(seg)]
+    if snr_db == math.inf:
+        return out
+    head = template[:n_s]
+    sigma = noise_std(float(np.sum(head * head)), snr_db, snr_ref_samples(cfg))
+    return sigma * np.random.default_rng(noise_seed).standard_normal(len(out)) + out
 
 
 def _segment_start(r: SampledWaveform, k: int, tau: float, cfg: FrameConfig) -> int:

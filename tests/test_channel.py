@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -25,8 +26,16 @@ from uwbsync import (
     single_path,
 )
 from uwbsync.channel import noise_std, snr_ref_samples
+from uwbsync.harness import ExperimentPlan, build_trial_scene
 
-from oracles import FRAME, dirty_correlation, energy, pulse_train, rms_delay_spread
+from oracles import (
+    FRAME,
+    dirty_correlation,
+    energy,
+    pulse_train,
+    record,
+    rms_delay_spread,
+)
 
 BITS = st.lists(st.integers(0, 1), min_size=1, max_size=5)
 # Hopping codes up to chip 33, the last one a bit-1 pulse can use, so a
@@ -35,6 +44,9 @@ CODES = st.integers(0, 2**32 - 1).map(
     lambda seed: tuple(np.random.default_rng(seed).integers(0, 34, 32)))
 OFFSETS = st.integers(0, 55_999).map(lambda n: n / 50e9)
 CM1_17 = generate_cm1(17)
+# A tap 1.5 symbols late: each template spans 2.5 symbols, so three
+# consecutive templates overlap after the second symbol's start.
+LONG_TAIL = ChannelRealization((math.sqrt(0.5), -math.sqrt(0.5)), (0.0, 1680e-9))
 
 
 @st.composite
@@ -216,6 +228,38 @@ class TestPropagate:
         out = propagate(bits, single_path(), cfg, timing_offset=offset)
         expected = taps_over_train(bits, single_path(), offset, cfg)
         assert out.samples.tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(ch=st.integers(0, 2**32 - 1).map(generate_cm1) | st.just(LONG_TAIL),
+           bits=BITS, code=CODES, offset=OFFSETS,
+           snr_db=st.just(math.inf) | st.floats(-10.0, 30.0),
+           noise_seed=st.integers(0, 2**32 - 1))
+    @example(ch=LONG_TAIL, bits=[1, 0, 1, 1], code=(0,) * 32, offset=700e-9,
+             snr_db=4.0, noise_seed=7)
+    @example(ch=CM1_17, bits=[1, 0], code=(0,) * 31 + (33,), offset=0.0,
+             snr_db=12.0, noise_seed=1)
+    def test_record_equals_the_two_array_composition(self, cfg, ch, bits, code,
+                                                     offset, snr_db, noise_seed):
+        # Byte for byte: overlapping templates are summed in symbol order
+        # before they meet the noise, as in the two-array composition.
+        cfg = replace(cfg, th_code=code)
+        bits = SymbolSequence(bits)
+        out = propagate(bits, ch, cfg, timing_offset=offset, snr_db=snr_db,
+                        noise_seed=noise_seed)
+        expected = record(bits, ch, cfg, offset, snr_db, noise_seed)
+        assert out.samples.tobytes() == expected.tobytes()
+
+    def test_trial_record_is_the_one_record_sized_array(self):
+        # Noise draw, template adds and the record are one array: the traced
+        # peak of a trial's build stays well under two records.
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            scene = build_trial_scene(ExperimentPlan(), 8.0, 32, "nda", 0, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * scene.received.samples.nbytes
 
     def test_noise_is_added_to_the_clean_record(self, cfg):
         # Bit for bit: the noisy record is the clean one plus

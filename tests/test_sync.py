@@ -1,6 +1,7 @@
 """Synchronizer floors: templates, correlations, coarse and fine search."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -536,6 +537,24 @@ class TestBuffers:
             return out
         monkeypatch.setattr(np, "empty", nan_filled)
         assert floors() == expected
+
+    def test_fine_scan_keeps_one_prefix_sum_sized_array(self):
+        # The window sums are written over the prefix sum, so the scan's
+        # traced peak stays well under two prefix sums.
+        plan = ExperimentPlan()
+        scene = build_trial_scene(plan, 8.0, 32, "nda", 0, 0)
+        tau1, _ = coarse_sync(scene.received, scene.cfg, scene.coarse_cfg)
+        _, hi = fine_extent(scene.cfg, plan.fine_cfg, tau1)
+        csum_bytes = 8 * (hi - 2 * scene.cfg.n_symbol_samples + 1)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            fine_sync(scene.received, tau1, scene.cfg, plan.fine_cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 2 * csum_bytes
 
 
 class TestModeContrast:
