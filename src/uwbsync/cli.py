@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -19,14 +18,14 @@ from decimal import Decimal
 from itertools import groupby
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .waveform import ConfigError, FrameConfig
 from .channel import snr_ref_samples
 from .sync import COARSE_MODES, CoarseConfig, FineConfig
-from .harness import (ExperimentPlan, records_to_csv, run_sweep, sweep_workers,
-                      sync_trial, wrapped_error)
-
-ENV_SEED = "UWB_SYNC_SEED"
+from .harness import (ExperimentPlan, records_to_csv, run_sweep, snr_label,
+                      sweep_workers, sync_trial, wrapped_error)
 
 # The config schema, one row per key: (section, key, plan field, unit).
 # The rows drive parsing, rendering and the unknown-key check.  A dotted
@@ -49,7 +48,6 @@ _SCHEMA = (
     ("sweep", "snr_grid_db", "snr_grid_db", "dB list"),
     ("sweep", "m_grid", "m_grid", "int list"),
     ("sweep", "modes", "modes", "str list"),
-    ("sweep", "floors", "floors", "str list"),
     ("sweep", "trials_per_cell", "trials_per_cell", "int"),
     ("sweep", "base_seed", "base_seed", "int"),
 )
@@ -145,17 +143,6 @@ def _whole_number_arg(minimum: int):
     return parse
 
 
-def _env_seed(default):
-    """The base seed in UWB_SYNC_SEED if it is set, else ``default``."""
-    env = os.environ.get(ENV_SEED)
-    if not env:
-        return default
-    seed = _parse(ENV_SEED, "int", env)
-    if seed < 0:
-        raise ConfigError(f"{ENV_SEED}: {seed} must be >= 0")
-    return seed
-
-
 def load_plan(path) -> ExperimentPlan:
     """Parse and validate a config file into a plan.
 
@@ -191,14 +178,12 @@ def load_plan(path) -> ExperimentPlan:
         if parser.has_option(section, key):
             owner, _, name = field.rpartition(".")
             values[owner][name] = _parse(key, unit, parser.get(section, key))
-    top = values[""]
-    top["base_seed"] = _env_seed(top.get("base_seed", ExperimentPlan.base_seed))
     try:
         return ExperimentPlan(
             frame_cfg=FrameConfig(**values["frame_cfg"]),
             coarse_cfg=CoarseConfig(**values["coarse_cfg"]),
             fine_cfg=FineConfig(**values["fine_cfg"]),
-            **top,
+            **values[""],
         )
     except ConfigError as exc:
         key = _KEY_OF_FIELD.get(exc.field)
@@ -236,12 +221,21 @@ def _snr_definition_line(plan: ExperimentPlan) -> str:
     )
 
 
-def _write_objective(path: Path, times, ys) -> None:
-    """Write an objective curve as (time_ns, value) lines."""
+def _write_objectives(plan: ExperimentPlan, est, out_dir: Path, name: str) -> None:
+    """Write a trial's two objective curves as (time_ns, value) lines, to
+    ``name`` with ``{}`` filled in by "coarse" and by "fine"."""
     render_ns = _UNITS["ns"][1]
-    with open(path, "w") as fh:
-        for t, y in zip(times, ys):
-            fh.write(f"{render_ns(float(t))} {float(y)!r}\n")
+    n_cand = plan.fine_cfg.n_steps
+    curves = {
+        "coarse": (np.arange(len(est.coarse_objective)) * plan.coarse_cfg.search_step,
+                   est.coarse_objective),
+        "fine": (np.arange(-n_cand + 1, n_cand) * plan.fine_cfg.fine_step,
+                 est.fine_objective),
+    }
+    for floor, (times, ys) in curves.items():
+        with open(out_dir / name.format(floor), "w") as fh:
+            for t, y in zip(times, ys):
+                fh.write(f"{render_ns(float(t))} {float(y)!r}\n")
 
 
 def cmd_sweep(args) -> int:
@@ -274,19 +268,14 @@ def _dump_objectives(plan: ExperimentPlan, out_dir: Path) -> None:
     """Objective curves of trial 0 of every cell, as two-column text."""
     for gi, (snr, m, mode) in enumerate(plan.groups()):
         _, est = sync_trial(plan, snr, m, mode, 0, gi)
-        tag = f"snr{snr:g}_m{m}_{mode}".replace("-", "m")
-        _write_objective(out_dir / f"objective_coarse_{tag}.txt",
-                         est.coarse_taus, est.coarse_objective)
-        _write_objective(out_dir / f"objective_fine_{tag}.txt",
-                         est.fine_offsets * plan.fine_cfg.fine_step,
-                         est.fine_objective)
+        tag = f"snr{snr_label(snr)}_m{m}_{mode}".replace("-", "m")
+        _write_objectives(plan, est, out_dir, f"objective_{{}}_{tag}.txt")
 
 
 def cmd_demo(args) -> int:
     plan = load_plan(args.config) if args.config else ExperimentPlan()
-    seed = _env_seed(args.seed)  # env > --seed > config
-    if seed is not None:
-        plan = replace(plan, base_seed=seed)
+    if args.seed is not None:
+        plan = replace(plan, base_seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(_snr_definition_line(plan))
@@ -301,11 +290,7 @@ def cmd_demo(args) -> int:
     print(f"true offset : {dtau * 1e9:12.4f} ns")
     print(f"coarse tau1 : {est.tau1 * 1e9:12.4f} ns   error {e1 * 1e9:+10.4f} ns")
     print(f"fine   tau2 : {est.tau2 * 1e9:12.4f} ns   error {e2 * 1e9:+10.4f} ns")
-    _write_objective(out_dir / "demo_objective_coarse.txt",
-                     est.coarse_taus, est.coarse_objective)
-    _write_objective(out_dir / "demo_objective_fine.txt",
-                     est.fine_offsets * plan.fine_cfg.fine_step,
-                     est.fine_objective)
+    _write_objectives(plan, est, out_dir, "demo_objective_{}.txt")
     print(f"objective curves written to {out_dir}/demo_objective_*.txt")
     return 0
 

@@ -11,6 +11,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from io import StringIO
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "run_sweep",
     "sweep_workers",
     "records_to_csv",
+    "snr_label",
 ]
 
 CHANNEL_MODELS = ("cm1", "single_path")
@@ -57,12 +59,13 @@ class ExperimentPlan:
     """A full sweep: grids, trial count, seed, and module configs.
 
     These field defaults are the only defaults of the sweep config keys.
+    Every trial runs both floors, so every cell reports both.
     """
 
+    floors: ClassVar[tuple[str, ...]] = FLOORS
     snr_grid_db: tuple[float, ...] = (0.0, 4.0, 8.0, 12.0, 16.0)
     m_grid: tuple[int, ...] = (8, 32)
     modes: tuple[str, ...] = COARSE_MODES
-    floors: tuple[str, ...] = FLOORS
     trials_per_cell: int = 200
     base_seed: int = 20260801
     frame_cfg: FrameConfig = FrameConfig()
@@ -75,13 +78,12 @@ class ExperimentPlan:
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
         object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "floors", tuple(self.floors))
         if self.trials_per_cell < 1:
             raise ConfigError(f"must be >= 1, got {self.trials_per_cell}",
                               field="trials_per_cell")
         if self.base_seed < 0:
             raise ConfigError(f"must be >= 0, got {self.base_seed}", field="base_seed")
-        for name in ("snr_grid_db", "m_grid", "modes", "floors"):
+        for name in ("snr_grid_db", "m_grid", "modes"):
             grid = getattr(self, name)
             if not grid:
                 raise ConfigError("sweep grid must be non-empty", field=name)
@@ -97,9 +99,6 @@ class ExperimentPlan:
         for mode in self.modes:
             if mode not in COARSE_MODES:
                 raise ConfigError(f"unknown mode {mode!r}", field="modes")
-        for floor in self.floors:
-            if floor not in FLOORS:
-                raise ConfigError(f"unknown floor {floor!r}", field="floors")
         if self.channel_model not in CHANNEL_MODELS:
             raise ConfigError(f"unknown channel model {self.channel_model!r}",
                               field="channel_model")
@@ -292,13 +291,21 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def snr_label(snr_db: float) -> str:
+    """The SNR as results.csv and the objective dumps name it: six
+    significant digits where they read back as the same double, else the
+    shortest text that does, so distinct grid values keep distinct labels."""
+    text = _fmt(snr_db)
+    return text if float(text) == snr_db else repr(snr_db)
+
+
 def records_to_csv(records) -> str:
     """Render records in the stable CSV format used for regression diffs."""
     out = StringIO()
     out.write(CSV_HEADER + "\n")
     for r in records:
         out.write(
-            f"{_fmt(r.snr_db)},{r.m},{r.mode},{r.floor},"
+            f"{snr_label(r.snr_db)},{r.m},{r.mode},{r.floor},"
             f"{_fmt(r.normalized_mse)},{_fmt(r.std_error)},{r.n_trials}\n"
         )
     return out.getvalue()

@@ -102,10 +102,8 @@ class SyncEstimate:
     tau1: float
     tau2: float
     n_opt: int
-    coarse_objective: np.ndarray
-    coarse_taus: np.ndarray
-    fine_objective: np.ndarray
-    fine_offsets: np.ndarray  # signed step index per fine candidate
+    coarse_objective: np.ndarray  # per candidate tau = j * search_step
+    fine_objective: np.ndarray  # per step n = -N+1 ... N-1 from tau1
 
 
 def training_pattern(k: int) -> int:
@@ -283,13 +281,10 @@ def two_floor_sync(r: SampledWaveform, cfg: FrameConfig, cc: CoarseConfig,
     tau2_raw, n_opt, fine_obj = fine_sync(r, tau1, cfg, fc)
     t_s = cfg.symbol_duration
     tau2 = tau2_raw % t_s
-    n_cand = fc.n_steps
     return SyncEstimate(
         tau1=tau1,
         tau2=tau2,
         n_opt=n_opt,
         coarse_objective=coarse_obj,
-        coarse_taus=np.arange(len(coarse_obj)) * cc.search_step,
         fine_objective=fine_obj,
-        fine_offsets=np.arange(-n_cand + 1, n_cand),
     )

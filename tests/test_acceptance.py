@@ -292,9 +292,9 @@ class TestCriterion11NullSanity:
         oracle = float(np.mean((diffs / TS) ** 2))
 
         plan = ExperimentPlan(snr_grid_db=(-100.0,), m_grid=(8,),
-                            modes=("nda",), floors=("coarse_plus_fine",),
-                            trials_per_cell=500)
-        rec = run_sweep(plan, n_workers=os.cpu_count() or 1)[0]
+                              modes=("nda",), trials_per_cell=500)
+        rec, = (r for r in run_sweep(plan, n_workers=os.cpu_count() or 1)
+                if r.floor == "coarse_plus_fine")
         ratio = rec.normalized_mse / oracle
         ok = abs(ratio - 1.0) <= 0.15
         report("11 (null sanity)", ok,

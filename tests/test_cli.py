@@ -24,7 +24,6 @@ model = single_path
 snr_grid_db = inf, 10
 m_grid = 8
 modes = da
-floors = coarse_only, coarse_plus_fine
 trials_per_cell = 2
 base_seed = 7
 """
@@ -50,8 +49,7 @@ def tiny_config(tmp_path):
 
 
 class TestConfig:
-    def test_load_shipped_default(self, monkeypatch):
-        monkeypatch.delenv("UWB_SYNC_SEED", raising=False)
+    def test_load_shipped_default(self):
         plan = load_plan(REPO_CONFIG)
         assert plan == ExperimentPlan()
         assert plan.snr_grid_db == (0.0, 4.0, 8.0, 12.0, 16.0)
@@ -114,10 +112,9 @@ class TestConfig:
         ("[sweep]\nm_grid = 8, 8", "m_grid"),
         ("[sweep]\nmodes = da, da", "modes"),
         ("[sweep]\nmodes = nda, xx", "modes"),
-        ("[sweep]\nfloors = fine", "floors"),
         ("[channel]\nmodel = cm2", "model:"),
         ("[sweep]\ntrials_per_cell = 0", "trials_per_cell:"),
-        ("[sweep]\nfloors = coarse_only, coarse_only", "floors"),
+        ("[sweep]\nfloors = coarse_only", "floors"),  # removed key
         ("[sweep]\nm_grid =", "m_grid"),
         ("[sweep]\nbase_seed = -1", "base_seed"),
         ("[DEFAULT]\nm_gird = 8", "DEFAULT"),
@@ -165,11 +162,6 @@ class TestConfig:
             load_plan(path)
         assert f"config file {str(path)!r} not found" in str(exc.value)
 
-    def test_env_seed_override(self, tiny_config, monkeypatch):
-        monkeypatch.setenv("UWB_SYNC_SEED", "123456")
-        plan = load_plan(tiny_config)
-        assert plan.base_seed == 123456
-
     def test_inf_snr_parses(self, tiny_config):
         plan = load_plan(tiny_config)
         assert math.isinf(plan.snr_grid_db[0])
@@ -181,9 +173,8 @@ class TestConfig:
         assert load_plan(path).snr_grid_db == (math.inf,)
 
     @pytest.mark.parametrize("token", ["0.8", "8e-1", "800e-3", "0.08E1"])
-    def test_exponent_tokens_load_the_same_double(self, tmp_path, monkeypatch, token):
+    def test_exponent_tokens_load_the_same_double(self, tmp_path, token):
         # The default pulse duration is the literal 0.8e-9, however it is written.
-        monkeypatch.delenv("UWB_SYNC_SEED", raising=False)
         path = tmp_path / "pulse.cfg"
         path.write_text(f"[frame]\npulse_duration_ns = {token}\n")
         assert load_plan(path) == ExperimentPlan()
@@ -219,8 +210,6 @@ def valid_plans(draw):
                              unique=True)),
         modes=draw(st.lists(st.sampled_from(["nda", "da"]), min_size=1, max_size=2,
                             unique=True)),
-        floors=draw(st.lists(st.sampled_from(["coarse_only", "coarse_plus_fine"]),
-                             min_size=1, max_size=2, unique=True)),
         trials_per_cell=draw(st.integers(1, 10**6)),
         base_seed=draw(st.integers(0, 2**64)),
         frame_cfg=frame,
@@ -234,9 +223,10 @@ def valid_plans(draw):
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(plan=valid_plans())
-def test_manifest_reloads_any_plan_exactly(plan, tmp_path, monkeypatch):
-    monkeypatch.delenv("UWB_SYNC_SEED", raising=False)
+@given(plan=valid_plans(), env_seed=st.integers(0, 2**64))
+def test_manifest_reloads_any_plan_exactly(plan, env_seed, tmp_path, monkeypatch):
+    # The file is the whole run: a seed in the environment changes nothing.
+    monkeypatch.setenv("UWB_SYNC_SEED", str(env_seed))
     path = tmp_path / "manifest.cfg"
     path.write_text(plan_to_config_text(plan))
     assert load_plan(path) == plan
@@ -286,6 +276,21 @@ class TestSweepCommand:
         assert [float(x) for x, _ in rows[:2]] == [0.0, 35.0]  # tau in ns
         assert all(math.isfinite(float(y)) for _, y in rows)
 
+    def test_close_snrs_keep_distinct_labels(self, tmp_path):
+        # Both values print as "10" at six significant digits.
+        path = tmp_path / "close.cfg"
+        path.write_text("[channel]\nmodel = single_path\n[sweep]\n"
+                        "snr_grid_db = 10.0000001, 10.0000002\nm_grid = 4\n"
+                        "modes = nda\ntrials_per_cell = 1\n")
+        out = tmp_path / "o"
+        assert main(["sweep", str(path), "--out", str(out), "--dump-objectives"]) == 0
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [
+            10.0000001, 10.0000001, 10.0000002, 10.0000002]
+        assert sorted(f.name for f in out.glob("objective_fine_*.txt")) == [
+            "objective_fine_snr10.0000001_m4_nda.txt",
+            "objective_fine_snr10.0000002_m4_nda.txt"]
+
 
 class TestDemoCommand:
     def test_noiseless_demo_reports_tiny_fine_error(self, tmp_path, capsys):
@@ -303,8 +308,7 @@ class TestDemoCommand:
         assert (tmp_path / "demo_objective_coarse.txt").exists()
         assert (tmp_path / "demo_objective_fine.txt").exists()
 
-    def test_config_base_seed_is_not_overridden(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("UWB_SYNC_SEED", raising=False)
+    def test_config_base_seed_is_not_overridden(self, tmp_path, capsys):
         cfg_path = tmp_path / "seed1.cfg"
         cfg_path.write_text("[sweep]\nbase_seed = 1\n")
         outputs = []
@@ -356,15 +360,15 @@ class TestDemoCommand:
         assert "argument --seed: expected a whole number >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["demo", "sweep"])
-    def test_negative_env_seed_exits_2_naming_it(self, tmp_path, capsys,
-                                                 monkeypatch, command):
-        monkeypatch.setenv("UWB_SYNC_SEED", "-5")
-        args = [command, "--out", str(tmp_path)]
-        if command == "sweep":
-            args.insert(1, str(REPO_CONFIG))
-        assert main(args) == 2
-        assert "UWB_SYNC_SEED" in capsys.readouterr().err
+    def test_seed_flag_ignores_the_environment(self, tmp_path, capsys, monkeypatch):
+        outputs = []
+        for env_seed in (None, "5"):
+            if env_seed is not None:
+                monkeypatch.setenv("UWB_SYNC_SEED", env_seed)
+            assert main(["demo", "--m", "1", "--seed", "1", "--out", str(tmp_path)]) == 0
+            outputs.append([l for l in capsys.readouterr().out.splitlines()
+                            if l.startswith("true offset")])
+        assert outputs[0] == outputs[1] != []
 
 
 def test_channel_command_is_gone(tmp_path, capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from uwbsync import (
     ConfigError,
@@ -19,6 +20,7 @@ from uwbsync import (
     run_trial,
     wrapped_error,
 )
+from uwbsync.harness import snr_label
 
 TS = 1120e-9
 
@@ -115,8 +117,7 @@ class TestRunTrial:
 class TestRunSweep:
     def test_single_trial_cell_equals_trial_error(self):
         plan = ExperimentPlan(
-            snr_grid_db=(math.inf,), m_grid=(8,), modes=("da",),
-            floors=("coarse_only", "coarse_plus_fine"), trials_per_cell=1,
+            snr_grid_db=(math.inf,), m_grid=(8,), modes=("da",), trials_per_cell=1,
             channel_model="single_path",
         )
         records = run_sweep(plan)
@@ -197,6 +198,14 @@ class TestCsv:
         lines = text.splitlines()
         assert lines[0] == "snr_db,m,mode,floor,normalized_mse,std_error,n_trials"
         assert lines[1] == "16,8,nda,coarse_only,0.000123457,3.3e-06,200"
+
+    @given(snr=st.floats(allow_nan=False) | st.sampled_from(
+        [0.0, 4.0, 16.0, -100.0, math.inf, 10.0000001, 10.0000002]))
+    def test_snr_label_reads_back_as_the_same_double(self, snr):
+        label = snr_label(snr)
+        assert float(label) == snr
+        if float(f"{snr:.6g}") == snr:  # round grid values keep their old label
+            assert label == f"{snr:.6g}"
 
 
 def test_benchmark_tracer_fits_the_library():
