@@ -1,4 +1,4 @@
-"""Command-line front end: config-driven sweeps and single-trial demos.
+"""Command-line front end: config-driven sweeps and their objective dumps.
 
 The config format is flat key/value text with sections (INI).  Times are
 given in nanoseconds, rates in GHz; everything else is dimensionless.
@@ -13,7 +13,6 @@ import configparser
 import math
 import sys
 import time
-from dataclasses import replace
 from decimal import Decimal
 from itertools import groupby
 from pathlib import Path
@@ -23,7 +22,7 @@ import numpy as np
 from . import __version__
 from .waveform import ConfigError, FrameConfig
 from .channel import snr_ref_samples
-from .sync import COARSE_MODES, CoarseConfig, FineConfig
+from .sync import CoarseConfig, FineConfig
 from .harness import (ExperimentPlan, records_to_csv, run_sweep, snr_label,
                       sweep_workers, sync_trial, wrapped_error)
 
@@ -122,19 +121,8 @@ def _render(unit: str, value) -> str:
     return render(value)
 
 
-def _unit_arg(unit: str, expected: str):
-    """argparse type for a flag: a value of ``unit``."""
-    def parse(token: str):
-        try:
-            return _UNITS[unit][0](token)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected {expected}, got {token!r}") from None
-    return parse
-
-
 def _whole_number_arg(minimum: int):
-    """argparse type for a count or seed flag: a whole number >= ``minimum``."""
+    """argparse type for a count flag: a whole number >= ``minimum``."""
     def parse(token: str) -> int:
         if not token.isdecimal() or int(token) < minimum:
             raise argparse.ArgumentTypeError(
@@ -221,23 +209,6 @@ def _snr_definition_line(plan: ExperimentPlan) -> str:
     )
 
 
-def _write_objectives(plan: ExperimentPlan, est, out_dir: Path, name: str) -> None:
-    """Write a trial's two objective curves as (time_ns, value) lines, to
-    ``name`` with ``{}`` filled in by "coarse" and by "fine"."""
-    render_ns = _UNITS["ns"][1]
-    n_cand = plan.fine_cfg.n_steps
-    curves = {
-        "coarse": (np.arange(len(est.coarse_objective)) * plan.coarse_cfg.search_step,
-                   est.coarse_objective),
-        "fine": (np.arange(-n_cand + 1, n_cand) * plan.fine_cfg.fine_step,
-                 est.fine_objective),
-    }
-    for floor, (times, ys) in curves.items():
-        with open(out_dir / name.format(floor), "w") as fh:
-            for t, y in zip(times, ys):
-                fh.write(f"{render_ns(float(t))} {float(y)!r}\n")
-
-
 def cmd_sweep(args) -> int:
     plan = load_plan(args.config)
     out_dir = Path(args.out)
@@ -265,34 +236,28 @@ def cmd_sweep(args) -> int:
 
 
 def _dump_objectives(plan: ExperimentPlan, out_dir: Path) -> None:
-    """Objective curves of trial 0 of every cell, as two-column text."""
+    """Objective curves of trial 0 of every cell, as (time_ns, value) text,
+    and one stdout line of that trial's offset, estimates and errors in ns."""
+    render_ns = _UNITS["ns"][1]
+    n_cand = plan.fine_cfg.n_steps
+    times = {
+        "coarse": (np.arange(plan.coarse_cfg.grid_size(plan.frame_cfg))
+                   * plan.coarse_cfg.search_step),
+        "fine": np.arange(-n_cand + 1, n_cand) * plan.fine_cfg.fine_step,
+    }
     for gi, (snr, m, mode) in enumerate(plan.groups()):
-        _, est = sync_trial(plan, snr, m, mode, 0, gi)
+        scene, est = sync_trial(plan, snr, m, mode, 0, gi)
         tag = f"snr{snr_label(snr)}_m{m}_{mode}".replace("-", "m")
-        _write_objectives(plan, est, out_dir, f"objective_{{}}_{tag}.txt")
-
-
-def cmd_demo(args) -> int:
-    plan = load_plan(args.config) if args.config else ExperimentPlan()
-    if args.seed is not None:
-        plan = replace(plan, base_seed=args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    print(_snr_definition_line(plan))
-
-    # Single trial, reported in ns, with both objective curves written out.
-    scene, est = sync_trial(plan, args.snr, args.m, args.mode, 0, 0)
-
-    t_s = scene.cfg.symbol_duration
-    dtau = scene.delta_tau
-    e1 = wrapped_error(est.tau1, dtau, t_s)
-    e2 = wrapped_error(est.tau2, dtau, t_s)
-    print(f"true offset : {dtau * 1e9:12.4f} ns")
-    print(f"coarse tau1 : {est.tau1 * 1e9:12.4f} ns   error {e1 * 1e9:+10.4f} ns")
-    print(f"fine   tau2 : {est.tau2 * 1e9:12.4f} ns   error {e2 * 1e9:+10.4f} ns")
-    _write_objectives(plan, est, out_dir, "demo_objective_{}.txt")
-    print(f"objective curves written to {out_dir}/demo_objective_*.txt")
-    return 0
+        for floor, ys in (("coarse", est.coarse_objective), ("fine", est.fine_objective)):
+            with open(out_dir / f"objective_{floor}_{tag}.txt", "w") as fh:
+                for t, y in zip(times[floor], ys):
+                    fh.write(f"{render_ns(float(t))} {float(y)!r}\n")
+        t_s = scene.cfg.symbol_duration
+        e1 = wrapped_error(est.tau1, scene.delta_tau, t_s)
+        e2 = wrapped_error(est.tau2, scene.delta_tau, t_s)
+        print(f"{tag} trial 0: true offset {scene.delta_tau * 1e9:.4f} ns, "
+              f"coarse tau1 {est.tau1 * 1e9:.4f} ns (error {e1 * 1e9:+.4f} ns), "
+              f"fine tau2 {est.tau2 * 1e9:.4f} ns (error {e2 * 1e9:+.4f} ns)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,21 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--threads", type=_whole_number_arg(1), default=1,
                          help="parallel trial workers")
     p_sweep.add_argument("--dump-objectives", action="store_true",
-                         help="write objective curves for trial 0 of each cell")
+                         help="per cell, write trial 0's objective curves and "
+                              "print its estimates")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_demo = sub.add_parser("demo", help="run and inspect a single trial")
-    p_demo.add_argument("--snr", default="inf", help="SNR in dB, or 'inf' (noiseless)",
-                        type=_unit_arg("dB", "a number of dB or 'inf'"))
-    p_demo.add_argument("--m", type=_whole_number_arg(1), default=16,
-                        help="observation symbols M")
-    p_demo.add_argument("--mode", choices=COARSE_MODES, default="da")
-    p_demo.add_argument("--seed", type=_whole_number_arg(0), default=None,
-                        help="base seed (default: the config's)")
-    p_demo.add_argument("--config", default=None, help="optional config file")
-    p_demo.add_argument("--out", default="out", help="output directory")
-    p_demo.set_defaults(func=cmd_demo)
-
     return parser
 
 

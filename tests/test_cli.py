@@ -3,6 +3,8 @@
 import configparser
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,19 @@ m_grid = 8
 modes = da
 trials_per_cell = 2
 base_seed = 7
+"""
+
+# The one trial of a one-cell config.
+ONE_CELL_CONFIG = """\
+[channel]
+model = {model}
+
+[sweep]
+snr_grid_db = {snr}
+m_grid = {m}
+modes = {mode}
+trials_per_cell = 1
+base_seed = {seed}
 """
 
 # Values that need more than six significant digits to reload exactly.
@@ -92,6 +107,9 @@ class TestConfig:
         ("[sweep]\nsnr_grid_db = nan", "snr_grid_db"),
         ("[sweep]\nsnr_grid_db = 0, abc", "snr_grid_db"),
         ("[sweep]\nsnr_grid_db = 1e400", "snr_grid_db"),  # overflows, not 'inf'
+        ("[sweep]\nsnr_grid_db = 3090", "snr_grid_db"),  # 10 ** 309 overflows
+        ("[sweep]\nsnr_grid_db = -3000", "snr_grid_db"),  # the noise level overflows
+        ("[sweep]\nsnr_grid_db = -4000", "snr_grid_db"),  # 10 ** -400 is 0
         ("[sweep]\nm_grid = 0", "m_grid"),
         ("[sweep]\nm_grid = -3", "m_grid"),
         ("[fine]\nvariant = th_matched", "variant"),  # removed key
@@ -232,6 +250,23 @@ def test_manifest_reloads_any_plan_exactly(plan, env_seed, tmp_path, monkeypatch
     assert load_plan(path) == plan
 
 
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(snr=st.floats(allow_nan=False, allow_infinity=False))
+def test_any_finite_snr_runs_or_exits_2_naming_it(snr, tmp_path, capsys):
+    path = tmp_path / "snr.cfg"
+    path.write_text(ONE_CELL_CONFIG.format(model="single_path", snr=repr(snr), m=1,
+                                           mode="nda", seed=0))
+    out = tmp_path / "o"
+    shutil.rmtree(out, ignore_errors=True)
+    code = main(["sweep", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert "snr_grid_db" in err
+        assert not out.exists()
+    else:
+        assert code == 0, err
+
+
 class TestSweepCommand:
     def test_writes_expected_rows_and_is_deterministic(self, tmp_path, tiny_config):
         out1 = tmp_path / "run1"
@@ -292,92 +327,70 @@ class TestSweepCommand:
             "objective_fine_snr10.0000002_m4_nda.txt"]
 
 
+TRIAL_LINE = re.compile(
+    r"^(\S+) trial 0: true offset (\S+) ns, coarse tau1 (\S+) ns \(error (\S+) ns\), "
+    r"fine tau2 (\S+) ns \(error (\S+) ns\)$", re.MULTILINE)
+
+
 class TestDemoCommand:
+    """A demo is the one-cell sweep of one trial, with --dump-objectives."""
+
+    def run_one_cell(self, tmp_path, capsys, **cell):
+        path = tmp_path / "cell.cfg"
+        path.write_text(ONE_CELL_CONFIG.format(**cell))
+        out = tmp_path / "cell"
+        code = main(["sweep", str(path), "--out", str(out), "--dump-objectives"])
+        return code, out, TRIAL_LINE.findall(capsys.readouterr().out)
+
     def test_noiseless_demo_reports_tiny_fine_error(self, tmp_path, capsys):
         # Noiseless oracle needs the identity channel; under multipath the
         # blind fine estimate carries the (unknowable) channel-energy bias.
-        cfg_path = tmp_path / "sp.cfg"
-        cfg_path.write_text("[channel]\nmodel = single_path\n")
-        code = main(["demo", "--snr", "inf", "--mode", "da", "--seed", "1",
-                     "--config", str(cfg_path), "--out", str(tmp_path)])
+        code, out, lines = self.run_one_cell(tmp_path, capsys, model="single_path",
+                                             snr="inf", m=16, mode="da", seed=1)
         assert code == 0
-        out = capsys.readouterr().out
-        fine_line = [l for l in out.splitlines() if l.startswith("fine")][0]
-        err_ns = abs(float(fine_line.split("error")[1].split("ns")[0]))
-        assert err_ns <= 0.25
-        assert (tmp_path / "demo_objective_coarse.txt").exists()
-        assert (tmp_path / "demo_objective_fine.txt").exists()
+        [(tag, _, _, _, _, fine_err)] = lines
+        assert tag == "snrinf_m16_da"
+        assert abs(float(fine_err)) <= 0.25
+        assert (out / "objective_coarse_snrinf_m16_da.txt").exists()
+        assert (out / "objective_fine_snrinf_m16_da.txt").exists()
 
-    def test_config_base_seed_is_not_overridden(self, tmp_path, capsys):
-        cfg_path = tmp_path / "seed1.cfg"
-        cfg_path.write_text("[sweep]\nbase_seed = 1\n")
-        outputs = []
-        for flags in (["--config", str(cfg_path)], ["--seed", "1"]):
-            assert main(["demo", "--m", "1", "--out", str(tmp_path)] + flags) == 0
-            outputs.append([l for l in capsys.readouterr().out.splitlines()
-                            if l.startswith("true offset")])
-        assert outputs[0] == outputs[1] != []
-
-    def test_degenerate_single_symbol_m(self, tmp_path):
-        code = main(["demo", "--snr", "10", "--m", "1", "--mode", "nda",
-                     "--seed", "2", "--out", str(tmp_path)])
+    def test_degenerate_single_symbol_m(self, tmp_path, capsys):
+        code, _, lines = self.run_one_cell(tmp_path, capsys, model="cm1",
+                                           snr="10", m=1, mode="nda", seed=2)
         assert code == 0
+        assert [line[0] for line in lines] == ["snr10_m1_nda"]
+
+    def test_printed_coarse_estimate_is_the_dumped_argmax(self, tmp_path, capsys):
+        code, out, lines = self.run_one_cell(tmp_path, capsys, model="cm1",
+                                             snr="10", m=16, mode="da", seed=7)
+        assert code == 0
+        [(tag, _, tau1, _, _, _)] = lines
+        rows = [line.split() for line in
+                (out / f"objective_coarse_{tag}.txt").read_text().splitlines()]
+        values = [float(y) for _, y in rows]
+        assert f"{float(rows[values.index(max(values))][0]):.4f}" == tau1
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
 
-    def test_bad_mode_exits_2(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["demo", "--mode", "wat", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert "--mode" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("m", ["0", "-3"])
-    def test_bad_m_exits_2_naming_flag(self, tmp_path, capsys, m):
-        with pytest.raises(SystemExit) as exc:
-            main(["demo", "--m", m, "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert "--m" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("snr", ["abc", "nan", "-inf", "1e400"])
-    def test_bad_snr_exits_2_naming_key(self, tmp_path, capsys, snr):
-        out = tmp_path / "o"
-        with pytest.raises(SystemExit) as exc:
-            main(["demo", f"--snr={snr}", "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "argument --snr: expected a number of dB or 'inf'" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["-1", "abc"])
-    def test_bad_seed_exits_2_naming_flag(self, tmp_path, capsys, value):
-        out = tmp_path / "o"
-        with pytest.raises(SystemExit) as exc:
-            main(["demo", f"--seed={value}", "--out", str(out)])
-        assert exc.value.code == 2
-        assert "argument --seed: expected a whole number >= 0" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_seed_flag_ignores_the_environment(self, tmp_path, capsys, monkeypatch):
-        outputs = []
-        for env_seed in (None, "5"):
-            if env_seed is not None:
-                monkeypatch.setenv("UWB_SYNC_SEED", env_seed)
-            assert main(["demo", "--m", "1", "--seed", "1", "--out", str(tmp_path)]) == 0
-            outputs.append([l for l in capsys.readouterr().out.splitlines()
-                            if l.startswith("true offset")])
-        assert outputs[0] == outputs[1] != []
+def assert_invalid_choice(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_channel_command_is_gone(tmp_path, capsys):
-    out = tmp_path / "channels"
-    with pytest.raises(SystemExit) as exc:
-        main(["channel", "--out", str(out)])
-    assert exc.value.code == 2
-    assert "invalid choice: 'channel'" in capsys.readouterr().err
-    assert not out.exists()
+    assert_invalid_choice(tmp_path, capsys, "channel")
+
+
+def test_demo_command_is_gone(tmp_path, capsys):
+    assert_invalid_choice(tmp_path, capsys, "demo")
 
 
 def test_cli_module_runs_without_warnings():

@@ -358,6 +358,30 @@ class TestFineSync:
         tau2, n_opt, z = fine_sync(r, 35e-9, cfg, FineConfig(t_corr=0.0))
         assert n_opt == 0 and tau2 == 35e-9 and len(z) == 1
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), step=st.floats(0.02e-9, 40e-9),
+           cell=st.integers(0, 31), k_avg=st.integers(1, 2),
+           seed=st.integers(0, 2**16))
+    def test_estimate_stays_inside_the_scan_interval(self, cfg, data, step, cell,
+                                                     k_avg, seed):
+        # t_corr is drawn anywhere up to the one-symbol guard, or within a
+        # few ulps of a whole number of steps, where the scan size's ceil
+        # comes closest to admitting one step too many.
+        guard = 1.12e-6
+        near_multiple = st.builds(
+            lambda n, ulps: float(np.nextafter(n * step, ulps * math.inf) if ulps
+                                  else n * step),
+            st.integers(1, max(1, int(guard / step) - 1)), st.sampled_from([-1, 0, 1]))
+        t_corr = data.draw(st.floats(0.0, guard) | near_multiple)
+        fc = FineConfig(t_corr=t_corr, fine_step=step, n_symbols_avg=k_avg)
+        tau1 = cell * 35e-9
+        x = np.random.default_rng(seed).standard_normal(fine_extent(cfg, fc, tau1)[1])
+        tau2, n_opt, z = fine_sync(SampledWaveform(x, FS), tau1, cfg, fc)
+        assert len(z) == 2 * fc.n_steps - 1
+        assert (fc.n_steps - 1) * step <= t_corr  # the widest step any record picks
+        assert abs(n_opt * step) <= t_corr
+        assert tau2 == tau1 + n_opt * step
+
 
 # A small scan that still reads several symbols past the coarse window.
 SHORT_FINE = FineConfig(t_corr=4e-9, n_symbols_avg=2)
