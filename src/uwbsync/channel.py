@@ -10,8 +10,10 @@ link is modeled separately as the timing offset.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
@@ -51,6 +53,16 @@ CM1_PARAMS = {
 DEFAULT_MAX_DELAY = 25e-9
 
 _NORM_TOL = 1e-9
+
+# At the default format a noise-only correlation squared overflows below
+# about -2000 dB, and the noise level itself below about -3000 dB or above
+# about +3080 dB; the bound keeps every finite SNR far from both.
+MAX_ABS_SNR_DB = 300.0
+
+# Normals the first half's generator draws past its half, to find where
+# the second half's parse of the stream rejoins its own.  Sixteen doubles
+# drawn from different words do not match by chance.
+_LOOK_AHEAD = 16
 
 
 @dataclass(frozen=True)
@@ -127,6 +139,15 @@ def single_path() -> ChannelRealization:
     return ChannelRealization((1.0,), (0.0,))
 
 
+def check_snr_db(snr_db: float) -> None:
+    """Refuse any SNR but +inf (noiseless) and finite values within
+    +-``MAX_ABS_SNR_DB``, naming the ``snr_grid_db`` field."""
+    if not (abs(snr_db) <= MAX_ABS_SNR_DB or snr_db == math.inf):
+        raise ConfigError(f"{snr_db!r} dB is neither inf nor within "
+                          f"[-{MAX_ABS_SNR_DB:g}, {MAX_ABS_SNR_DB:g}] dB",
+                          field="snr_grid_db")
+
+
 def noise_std(symbol_energy_sumsq: float, snr_db: float, ref_samples: int) -> float:
     """Per-sample AWGN standard deviation for a given SNR.
 
@@ -137,10 +158,9 @@ def noise_std(symbol_energy_sumsq: float, snr_db: float, ref_samples: int) -> fl
     the acquisition transition of the default format inside the 0-16 dB
     band, where the sweep criteria measure it.
     """
+    check_snr_db(snr_db)
     if snr_db == math.inf:
         return 0.0
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ConfigError(f"snr_db = {snr_db!r} is not a finite SNR or +inf")
     if ref_samples < 1:
         raise ConfigError("ref_samples must be >= 1")
     var = symbol_energy_sumsq / (ref_samples * 10.0 ** (snr_db / 10.0))
@@ -196,9 +216,69 @@ def partial_energies(p_r: SampledWaveform, tau: float,
     return eps_a, eps_b, eps_r
 
 
+def _rejoin(tail: np.ndarray, look: np.ndarray) -> int | None:
+    """The first offset at which ``look`` runs in ``tail``, or None.
+
+    The offset is a few percent into ``tail``, so it is searched for in
+    doubling windows from the start.
+    """
+    lo, size = 0, 4096
+    while lo + len(look) <= len(tail):
+        for j in lo + np.flatnonzero(tail[lo:lo + size] == look[0]):
+            if np.array_equal(tail[j:j + len(look)], look):
+                return int(j)
+        lo += size
+        size *= 2
+    return None
+
+
+def _standard_normal(seed, n: int, threads: int = 1) -> np.ndarray:
+    """``np.random.default_rng(seed).standard_normal(n)``, byte for byte,
+    drawn on one thread or, for ``threads`` >= 2, on two.
+
+    numpy's ziggurat computes each normal only from the 64-bit words at its
+    own start: one word for most normals, more for a few.  So a second
+    generator advanced ``h = n // 2`` words parses the same PCG64 stream,
+    and within a few words its parse meets the first generator's.  From
+    there it draws the first generator's normals, from some ``j`` before
+    normal ``h`` on; ``j`` is about the extra words the first ``h``
+    normals took, some 2% of ``h``.
+
+    The calling thread draws ``out[:h]`` while a helper thread draws
+    ``out[h:]`` from the advanced generator.  The first generator's next
+    normals, found at offset ``j`` of ``out[h:]``, place the splice:
+    ``out[h:]`` shifts left by ``j``, in ``j``-long chunks so that no copy
+    of the half is made, and the advanced generator draws the last ``j``.
+    Where they are not found (a draw of a few dozen normals or less), the
+    first generator draws ``out[h:]`` itself, so the bytes never depend on
+    the splice.
+    """
+    first = np.random.default_rng(seed)
+    if threads < 2:
+        return first.standard_normal(n)
+    h = n // 2
+    second = np.random.Generator(copy.deepcopy(first.bit_generator).advance(h))
+    out = np.empty(n)
+    helper = threading.Thread(target=second.standard_normal, kwargs={"out": out[h:]})
+    helper.start()
+    first.standard_normal(out=out[:h])
+    helper.join()
+    state = first.bit_generator.state
+    j = _rejoin(out[h:], first.standard_normal(_LOOK_AHEAD))
+    if j is None:
+        first.bit_generator.state = state
+        first.standard_normal(out=out[h:])
+    elif j:
+        for a in range(h, n - j, j):
+            b = min(a + j, n - j)
+            out[a:b] = out[a + j:b + j]
+        second.standard_normal(out=out[n - j:])
+    return out
+
+
 def propagate(bits: SymbolSequence, ch: ChannelRealization, cfg: FrameConfig, *,
               timing_offset: float = 0.0, snr_db: float = math.inf,
-              noise_seed=None) -> SampledWaveform:
+              noise_seed=None, draw_threads: int = 1) -> SampledWaveform:
     """Transmit a bit sequence through the channel, the offset and AWGN.
 
     The noiseless record is the received one-symbol template
@@ -208,7 +288,9 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, cfg: FrameConfig, *,
     own, [0, K * symbol_duration) for K bits: the template tails past it
     are cut.  Tap delays and the timing offset are rounded to the sample
     grid.  The record is one array: the noise draw (zeros when noiseless),
-    with the templates added into it in place.
+    with the templates added into it in place.  ``draw_threads`` (1 or 2)
+    is the number of threads that draw the noise; the record's bytes do
+    not depend on it.
     """
     if not isinstance(bits, SymbolSequence):
         raise TypeError(
@@ -231,7 +313,7 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, cfg: FrameConfig, *,
         head = template[:n_sym]
         sigma = noise_std(float(np.sum(head * head)), snr_db, snr_ref_samples(cfg))
         # The same noise as normal(0, sigma), which draws 0.0 + sigma * z.
-        out = np.random.default_rng(noise_seed).standard_normal(n)
+        out = _standard_normal(noise_seed, n, draw_threads)
         out *= sigma
 
     # The PPM shift is shorter than a symbol, so template starts rise with

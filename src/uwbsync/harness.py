@@ -8,6 +8,7 @@ in any order or in parallel and still reproduce bit-identically.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from io import StringIO
@@ -25,6 +26,7 @@ from .waveform import (
 )
 from .channel import (
     DEFAULT_MAX_DELAY,
+    check_snr_db,
     generate_cm1,
     generate_tx,  # not called; the benchmark tracer wraps it (ROADMAP benchmark note)
     propagate,
@@ -52,12 +54,6 @@ CHANNEL_MODELS = ("cm1", "single_path")
 FLOORS = ("coarse_only", "coarse_plus_fine")
 
 CSV_HEADER = "snr_db,m,mode,floor,normalized_mse,std_error,n_trials"
-
-# At the default format a noise-only correlation squared overflows below
-# about -2000 dB, and the noise level itself below about -3000 dB or above
-# about +3080 dB; the bound keeps every finite SNR a plan accepts far from
-# both.
-MAX_ABS_SNR_DB = 300.0
 
 
 @dataclass(frozen=True)
@@ -96,10 +92,7 @@ class ExperimentPlan:
             if len(set(grid)) != len(grid):
                 raise ConfigError(f"duplicate entries in {grid}", field=name)
         for snr in self.snr_grid_db:
-            if not (abs(snr) <= MAX_ABS_SNR_DB or snr == math.inf):
-                raise ConfigError(f"{snr!r} dB is neither inf nor within "
-                                  f"[-{MAX_ABS_SNR_DB:g}, {MAX_ABS_SNR_DB:g}] dB",
-                                  field="snr_grid_db")
+            check_snr_db(snr)
         for m in self.m_grid:
             if m < 1:
                 raise ConfigError(f"M = {m} must be >= 1", field="m_grid")
@@ -194,13 +187,15 @@ class TrialScene:
 
 
 def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
-                      trial_index: int, group_index: int) -> TrialScene:
+                      trial_index: int, group_index: int, *,
+                      draw_threads: int = 1) -> TrialScene:
     """Draw one trial's randomness and synthesize its received record.
 
     Substreams: 0=TH code, 1=channel, 2=noise, 3=data bits, 4=timing
     offset.  The trial draws the fewest bits K whose symbols cover the
     furthest sample either floor reads, the fine floor's at the last
     coarse candidate, and its record is exactly those K symbols.
+    ``draw_threads`` threads draw its noise (:func:`propagate`).
     """
     ss = np.random.SeedSequence(entropy=plan.base_seed,
                                 spawn_key=(group_index, trial_index))
@@ -224,28 +219,33 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
         bits = SymbolSequence.random(k_total, s_bits)
 
     r = propagate(bits, ch, cfg, timing_offset=delta_tau, snr_db=snr_db,
-                  noise_seed=s_noise)
+                  noise_seed=s_noise, draw_threads=draw_threads)
     return TrialScene(cfg, cc, ch, delta_tau, bits, r)
 
 
 def sync_trial(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
-               trial_index: int, group_index: int) -> tuple[TrialScene, SyncEstimate]:
+               trial_index: int, group_index: int, *,
+               draw_threads: int = 1) -> tuple[TrialScene, SyncEstimate]:
     """Build one trial's scene and run both floors on its record."""
-    scene = build_trial_scene(plan, snr_db, m, mode, trial_index, group_index)
+    scene = build_trial_scene(plan, snr_db, m, mode, trial_index, group_index,
+                              draw_threads=draw_threads)
     return scene, two_floor_sync(scene.received, scene.cfg, scene.coarse_cfg,
                                  plan.fine_cfg)
 
 
 def run_trial(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
-              trial_index: int, group_index: int) -> TrialResult:
+              trial_index: int, group_index: int, *,
+              draw_threads: int = 1) -> TrialResult:
     """One Monte-Carlo realization of a sweep cell, both floors."""
-    scene, est = sync_trial(plan, snr_db, m, mode, trial_index, group_index)
+    scene, est = sync_trial(plan, snr_db, m, mode, trial_index, group_index,
+                            draw_threads=draw_threads)
     return TrialResult(est.tau1, est.tau2, scene.delta_tau)
 
 
 def _trial_task(args):
-    plan, group_index, (snr, m, mode), trial_index = args
-    return run_trial(plan, snr, m, mode, trial_index, group_index)
+    plan, group_index, (snr, m, mode), trial_index, draw_threads = args
+    return run_trial(plan, snr, m, mode, trial_index, group_index,
+                     draw_threads=draw_threads)
 
 
 def sweep_workers(plan: ExperimentPlan, n_workers: int) -> int:
@@ -262,12 +262,21 @@ def run_sweep(plan: ExperimentPlan, n_workers: int = 1) -> list[MseRecord]:
     A trial produces both floors' estimates, so floor cells that share
     (snr, m, mode) are paired on the same realizations.  Results are
     bit-identical for any worker count: substreams are keyed by group
-    and trial index, and records are assembled in plan order.
+    and trial index, and records are assembled in plan order.  Each
+    worker draws a record's noise on two threads when that leaves no
+    more threads than CPUs this process may use, else on one; the bytes
+    are the same either way.
     """
     groups = plan.groups()
     n = plan.trials_per_cell
-    tasks = [(plan, gi, g, t) for gi, g in enumerate(groups) for t in range(n)]
     workers = sweep_workers(plan, n_workers)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    draw_threads = 2 if 2 * workers <= cpus else 1
+    tasks = [(plan, gi, g, t, draw_threads)
+             for gi, g in enumerate(groups) for t in range(n)]
     if workers == 1:
         results = list(map(_trial_task, tasks))
     else:

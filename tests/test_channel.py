@@ -25,7 +25,8 @@ from uwbsync import (
     propagate,
     single_path,
 )
-from uwbsync.channel import noise_std, snr_ref_samples
+from uwbsync import channel as channel_module
+from uwbsync.channel import _standard_normal, noise_std, snr_ref_samples
 from uwbsync.harness import ExperimentPlan, build_trial_scene
 
 from oracles import (
@@ -251,15 +252,18 @@ class TestPropagate:
 
     def test_trial_record_is_the_one_record_sized_array(self):
         # Noise draw, template adds and the record are one array: the traced
-        # peak of a trial's build stays well under two records.
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            scene = build_trial_scene(ExperimentPlan(), 8.0, 32, "nda", 0, 0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * scene.received.samples.nbytes
+        # peak of a trial's build stays well under two records, also when
+        # two threads draw the noise.
+        for draw_threads in (1, 2):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                scene = build_trial_scene(ExperimentPlan(), 8.0, 32, "nda", 0, 0,
+                                          draw_threads=draw_threads)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * scene.received.samples.nbytes
 
     def test_noise_is_added_to_the_clean_record(self, cfg):
         # Bit for bit: the noisy record is the clean one plus
@@ -287,6 +291,72 @@ class TestPropagate:
         e_sum = float(np.dot(template.samples[:n_s], template.samples[:n_s]))
         sigma = noise_std(e_sum, 6.0, snr_ref_samples(cfg))
         assert float(np.var(noise)) == pytest.approx(sigma ** 2, rel=0.01)
+
+    @pytest.mark.parametrize("snr_db", [3090.0, -3000.0])
+    def test_snr_outside_the_bound_names_the_grid_key(self, cfg, snr_db):
+        # Before the bound: 10 ** 309 overflowed, and -3000 dB gave an
+        # infinite noise level.
+        for call in (lambda: noise_std(1.0, snr_db, 1),
+                     lambda: propagate(SymbolSequence([0]), single_path(), cfg,
+                                       snr_db=snr_db, noise_seed=1)):
+            with pytest.raises(ConfigError, match="neither inf nor within") as exc:
+                call()
+            assert exc.value.field == "snr_grid_db"
+
+    def test_snr_bound_is_inclusive(self):
+        for snr_db in (-300.0, 300.0):
+            assert 0.0 < noise_std(1.0, snr_db, 1) < math.inf
+
+
+# Below 32 normals a draw cannot splice; above, odd and even sizes can.
+DRAW_SIZES = st.integers(0, 31) | st.integers(32, 60_000)
+
+
+class TestNoiseDraw:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=DRAW_SIZES)
+    @example(seed=0, n=728_000)  # the M=8 record of the default format
+    @example(seed=1, n=1_960_000)  # the M=32 record
+    @example(seed=4, n=40_001)
+    @example(seed=2, n=17)
+    @example(seed=3, n=0)
+    def test_two_threads_draw_the_one_thread_bytes(self, seed, n):
+        expected = np.random.default_rng(seed).standard_normal(n)
+        assert _standard_normal(seed, n).tobytes() == expected.tobytes()
+        assert _standard_normal(seed, n, 2).tobytes() == expected.tobytes()
+
+    def test_record_sized_draw_splices_and_a_tiny_one_falls_back(self, monkeypatch):
+        offsets = []
+        rejoin = channel_module._rejoin
+
+        def spy(tail, look):
+            offsets.append(rejoin(tail, look))
+            return offsets[-1]
+
+        monkeypatch.setattr(channel_module, "_rejoin", spy)
+        seed = np.random.SeedSequence(5, spawn_key=(0, 0))
+        for n in (728_000, 17):
+            expected = np.random.default_rng(seed).standard_normal(n)
+            assert _standard_normal(seed, n, 2).tobytes() == expected.tobytes()
+        splice, fallback = offsets
+        # The splice sits a few percent into the second half; 9 normals
+        # cannot hold the 16 looked for.
+        assert 0 < splice < 728_000 // 2 // 10
+        assert fallback is None
+
+    def test_fallback_draws_the_same_bytes(self, monkeypatch):
+        monkeypatch.setattr(channel_module, "_rejoin", lambda tail, look: None)
+        expected = np.random.default_rng(9).standard_normal(728_000)
+        assert _standard_normal(9, 728_000, 2).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", [8, 32])
+    def test_trial_record_does_not_depend_on_draw_threads(self, m):
+        plan = ExperimentPlan()
+        for trial in range(2):
+            one, two = (build_trial_scene(plan, 8.0, m, "nda", trial, 1,
+                                          draw_threads=k).received.samples
+                        for k in (1, 2))
+            assert one.tobytes() == two.tobytes()
 
 
 class TestAggregateTemplate:

@@ -1,6 +1,7 @@
 """CLI: config parsing, manifest round trip, subcommand behavior."""
 
 import configparser
+import hashlib
 import math
 import os
 import re
@@ -17,6 +18,8 @@ from uwbsync import (ConfigError, CoarseConfig, ExperimentPlan, FineConfig,
 from uwbsync.cli import _SCHEMA, load_plan, main, plan_to_config_text
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+# The CI workflow sweeps the same configs and checks the same SHA256SUMS.
+CI_CONFIGS = REPO_CONFIG.parent / "ci"
 
 TINY_CONFIG = """\
 [channel]
@@ -330,6 +333,52 @@ class TestSweepCommand:
 TRIAL_LINE = re.compile(
     r"^(\S+) trial 0: true offset (\S+) ns, coarse tau1 (\S+) ns \(error (\S+) ns\), "
     r"fine tau2 (\S+) ns \(error (\S+) ns\)$", re.MULTILINE)
+
+
+class TestCiPins:
+    """Each output pinned in configs/ci/SHA256SUMS, made as CI makes it."""
+
+    @staticmethod
+    def sweep(config, out, *flags):
+        assert main(["sweep", str(config), "--out", str(out), *flags]) == 0
+
+    @staticmethod
+    def assert_pinned(root, out_dir):
+        lines = [line.split() for line in
+                 (CI_CONFIGS / "SHA256SUMS").read_text().splitlines()]
+        pins = [(digest, name) for digest, name in lines
+                if name.startswith(out_dir + "/")]
+        assert pins
+        for digest, name in pins:
+            assert hashlib.sha256((root / name).read_bytes()).hexdigest() == digest, name
+
+    def test_one_group_on_1_and_2_workers_and_its_manifest(self, tmp_path,
+                                                           monkeypatch):
+        # One worker on two or more CPUs draws each record's noise on two
+        # threads; two workers draw on one thread each below four CPUs.
+        self.sweep(CI_CONFIGS / "one_group.cfg", tmp_path / "out_t1", "--threads", "1")
+        self.sweep(CI_CONFIGS / "one_group.cfg", tmp_path / "out_t2", "--threads", "2")
+        # Nothing outside the file changes a run, a seed in the environment
+        # included.
+        monkeypatch.setenv("UWB_SYNC_SEED", "5")
+        self.sweep(tmp_path / "out_t1" / "manifest.cfg", tmp_path / "out_manifest",
+                   "--threads", "2")
+        self.assert_pinned(tmp_path, "out_t1")
+        csv = (tmp_path / "out_t1" / "results.csv").read_bytes()
+        for other in ("out_t2", "out_manifest"):
+            assert (tmp_path / other / "results.csv").read_bytes() == csv
+
+    def test_ties_on_1_and_2_workers(self, tmp_path):
+        self.sweep(CI_CONFIGS / "ties.cfg", tmp_path / "out_ties_t1", "--threads", "1")
+        self.sweep(CI_CONFIGS / "ties.cfg", tmp_path / "out_ties_t2", "--threads", "2")
+        self.assert_pinned(tmp_path, "out_ties_t1")
+        assert ((tmp_path / "out_ties_t2" / "results.csv").read_bytes()
+                == (tmp_path / "out_ties_t1" / "results.csv").read_bytes())
+
+    def test_one_cell_dump(self, tmp_path):
+        self.sweep(CI_CONFIGS / "one_cell.cfg", tmp_path / "out_one_cell",
+                   "--dump-objectives")
+        self.assert_pinned(tmp_path, "out_one_cell")
 
 
 class TestDemoCommand:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,9 +21,46 @@ from uwbsync import (
     run_trial,
     wrapped_error,
 )
+from uwbsync import harness
 from uwbsync.harness import snr_label
 
 TS = 1120e-9
+
+
+@pytest.fixture()
+def inline_pool(monkeypatch):
+    """Runs a sweep's pool tasks in this process; lists the pool sizes asked for."""
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return started
+
+
+@pytest.fixture()
+def draw_threads_seen(monkeypatch):
+    """Lists the noise-draw thread count of every record a sweep builds."""
+    seen = []
+    propagate = harness.propagate
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["draw_threads"])
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "propagate", spy)
+    return seen
 
 
 class TestWrappedError:
@@ -158,30 +196,47 @@ class TestRunSweep:
         for workers in (2, 3):
             assert records_to_csv(run_sweep(one_group, n_workers=workers)) == serial
 
-    def test_pool_starts_at_most_one_worker_per_trial(self, monkeypatch):
-        started = []
-
-        class InlinePool:
-            """Records the pool size and runs the tasks in this process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr("uwbsync.harness.ProcessPoolExecutor", InlinePool)
+    def test_pool_starts_at_most_one_worker_per_trial(self, inline_pool):
         plan = ExperimentPlan(snr_grid_db=(10.0,), m_grid=(8,), modes=("nda",),
                               trials_per_cell=3, channel_model="single_path")
         pooled = records_to_csv(run_sweep(plan, n_workers=500))
-        assert started == [3]
+        assert inline_pool == [3]
         assert pooled == records_to_csv(run_sweep(plan, n_workers=1))
+
+    @pytest.mark.parametrize("workers, cpus, draw_threads",
+                             [(1, 1, 1), (1, 2, 2), (2, 3, 1), (2, 4, 2)])
+    def test_noise_is_drawn_on_two_threads_only_where_cpus_are_idle(
+            self, monkeypatch, inline_pool, draw_threads_seen, workers, cpus,
+            draw_threads):
+        plan = ExperimentPlan(snr_grid_db=(8.0,), m_grid=(8,), modes=("nda",),
+                              trials_per_cell=2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        csv = records_to_csv(run_sweep(plan, n_workers=workers))
+        assert draw_threads_seen == [draw_threads] * 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert records_to_csv(run_sweep(plan)) == csv
+        assert draw_threads_seen[2:] == [1] * 2
+
+    def test_cpu_count_stands_in_for_the_affinity_mask(self, monkeypatch,
+                                                       draw_threads_seen):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        plan = ExperimentPlan(snr_grid_db=(8.0,), m_grid=(8,), modes=("nda",),
+                              trials_per_cell=1)
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            run_sweep(plan)
+        assert draw_threads_seen == [1, 2]
+
+    def test_pooled_workers_drawing_on_two_threads_write_the_same_csv(
+            self, monkeypatch):
+        plan = ExperimentPlan(snr_grid_db=(8.0,), m_grid=(8,), modes=("nda",),
+                              trials_per_cell=4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = records_to_csv(run_sweep(plan))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        assert records_to_csv(run_sweep(plan, n_workers=2)) == serial
 
     def test_mse_within_wrapped_bound(self):
         plan = ExperimentPlan(snr_grid_db=(-100.0,), m_grid=(8,),
