@@ -23,8 +23,8 @@ from . import __version__
 from .waveform import ConfigError, FrameConfig
 from .channel import snr_ref_samples
 from .sync import CoarseConfig, FineConfig
-from .harness import (ExperimentPlan, records_to_csv, run_sweep, snr_label,
-                      sweep_workers, sync_trial, wrapped_error)
+from .harness import (ExperimentPlan, mse_records, records_to_csv, run_trials,
+                      snr_label, sweep_workers, wrapped_error)
 
 # The config schema, one row per key: (section, key, plan field, unit).
 # The rows drive parsing, rendering and the unknown-key check.  A dotted
@@ -218,8 +218,8 @@ def cmd_sweep(args) -> int:
     n_groups = len(plan.groups())
     print(f"running {n_groups} trial groups x {plan.trials_per_cell} trials "
           f"({sweep_workers(plan, args.threads)} worker(s))...")
-    records = run_sweep(plan, n_workers=args.threads)
-    csv_text = records_to_csv(records)
+    trials = run_trials(plan, n_workers=args.threads)
+    csv_text = records_to_csv(mse_records(plan, trials))
     (out_dir / "results.csv").write_text(csv_text)
     manifest = plan_to_config_text(plan, run_info={
         "tool_version": __version__,
@@ -229,15 +229,16 @@ def cmd_sweep(args) -> int:
     })
     (out_dir / "manifest.cfg").write_text(manifest)
     if args.dump_objectives:
-        _dump_objectives(plan, out_dir)
+        _dump_objectives(plan, trials, out_dir)
     print(csv_text, end="")
     print(f"wrote {out_dir / 'results.csv'} and {out_dir / 'manifest.cfg'}")
     return 0
 
 
-def _dump_objectives(plan: ExperimentPlan, out_dir: Path) -> None:
-    """Objective curves of trial 0 of every cell, as (time_ns, value) text,
-    and one stdout line of that trial's offset, estimates and errors in ns."""
+def _dump_objectives(plan: ExperimentPlan, trials, out_dir: Path) -> None:
+    """Objective curves of the sweep's trial 0 of every cell, as
+    (time_ns, value) text, and one stdout line of that trial's offset,
+    estimates and errors in ns."""
     render_ns = _UNITS["ns"][1]
     n_cand = plan.fine_cfg.n_steps
     times = {
@@ -245,19 +246,20 @@ def _dump_objectives(plan: ExperimentPlan, out_dir: Path) -> None:
                    * plan.coarse_cfg.search_step),
         "fine": np.arange(-n_cand + 1, n_cand) * plan.fine_cfg.fine_step,
     }
+    t_s = plan.frame_cfg.symbol_duration
     for gi, (snr, m, mode) in enumerate(plan.groups()):
-        scene, est = sync_trial(plan, snr, m, mode, 0, gi)
+        trial = trials[gi * plan.trials_per_cell]
         tag = f"snr{snr_label(snr)}_m{m}_{mode}".replace("-", "m")
-        for floor, ys in (("coarse", est.coarse_objective), ("fine", est.fine_objective)):
+        for floor, ys in zip(("coarse", "fine"), trial.objectives):
             with open(out_dir / f"objective_{floor}_{tag}.txt", "w") as fh:
                 for t, y in zip(times[floor], ys):
                     fh.write(f"{render_ns(float(t))} {float(y)!r}\n")
-        t_s = scene.cfg.symbol_duration
-        e1 = wrapped_error(est.tau1, scene.delta_tau, t_s)
-        e2 = wrapped_error(est.tau2, scene.delta_tau, t_s)
-        print(f"{tag} trial 0: true offset {scene.delta_tau * 1e9:.4f} ns, "
-              f"coarse tau1 {est.tau1 * 1e9:.4f} ns (error {e1 * 1e9:+.4f} ns), "
-              f"fine tau2 {est.tau2 * 1e9:.4f} ns (error {e2 * 1e9:+.4f} ns)")
+        tau1, tau2, dtau = trial.tau_hat_coarse, trial.tau_hat_fine, trial.delta_tau_true
+        e1 = wrapped_error(tau1, dtau, t_s)
+        e2 = wrapped_error(tau2, dtau, t_s)
+        print(f"{tag} trial 0: true offset {dtau * 1e9:.4f} ns, "
+              f"coarse tau1 {tau1 * 1e9:.4f} ns (error {e1 * 1e9:+.4f} ns), "
+              f"fine tau2 {tau2 * 1e9:.4f} ns (error {e2 * 1e9:+.4f} ns)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 from io import StringIO
 from typing import ClassVar
 
@@ -32,8 +33,8 @@ from .channel import (
     propagate,
     single_path,
 )
-from .sync import (COARSE_MODES, CoarseConfig, FineConfig, SyncEstimate,
-                   coarse_extent, fine_extent, training_pattern, two_floor_sync)
+from .sync import (COARSE_MODES, CoarseConfig, FineConfig, coarse_extent,
+                   fine_extent, training_pattern, two_floor_sync)
 
 __all__ = [
     "ExperimentPlan",
@@ -41,9 +42,10 @@ __all__ = [
     "TrialResult",
     "TrialScene",
     "build_trial_scene",
-    "sync_trial",
     "wrapped_error",
     "run_trial",
+    "run_trials",
+    "mse_records",
     "run_sweep",
     "sweep_workers",
     "records_to_csv",
@@ -160,6 +162,8 @@ class TrialResult:
     tau_hat_coarse: float
     tau_hat_fine: float
     delta_tau_true: float
+    # (coarse, fine) objective curves of trial 0 of a cell, else None; == skips them.
+    objectives: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
 
 
 def wrapped_error(tau_hat: float, delta_tau: float, t_symbol: float) -> float:
@@ -223,82 +227,76 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
     return TrialScene(cfg, cc, ch, delta_tau, bits, r)
 
 
-def sync_trial(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
-               trial_index: int, group_index: int, *,
-               draw_threads: int = 1) -> tuple[TrialScene, SyncEstimate]:
-    """Build one trial's scene and run both floors on its record."""
-    scene = build_trial_scene(plan, snr_db, m, mode, trial_index, group_index,
-                              draw_threads=draw_threads)
-    return scene, two_floor_sync(scene.received, scene.cfg, scene.coarse_cfg,
-                                 plan.fine_cfg)
-
-
 def run_trial(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
               trial_index: int, group_index: int, *,
               draw_threads: int = 1) -> TrialResult:
-    """One Monte-Carlo realization of a sweep cell, both floors."""
-    scene, est = sync_trial(plan, snr_db, m, mode, trial_index, group_index,
-                            draw_threads=draw_threads)
-    return TrialResult(est.tau1, est.tau2, scene.delta_tau)
-
-
-def _trial_task(args):
-    plan, group_index, (snr, m, mode), trial_index, draw_threads = args
-    return run_trial(plan, snr, m, mode, trial_index, group_index,
-                     draw_threads=draw_threads)
+    """One Monte-Carlo realization of a sweep cell: build its record, then
+    run both floors on it.  Trial 0 keeps its objective curves."""
+    scene = build_trial_scene(plan, snr_db, m, mode, trial_index, group_index,
+                              draw_threads=draw_threads)
+    est = two_floor_sync(scene.received, scene.cfg, scene.coarse_cfg, plan.fine_cfg)
+    objectives = (est.coarse_objective, est.fine_objective) if trial_index == 0 else None
+    return TrialResult(est.tau1, est.tau2, scene.delta_tau, objectives)
 
 
 def sweep_workers(plan: ExperimentPlan, n_workers: int) -> int:
-    """Processes :func:`run_sweep` uses for ``n_workers``; 1 means serial.
+    """Processes :func:`run_trials` uses for ``n_workers``; 1 means serial.
 
     A fork pool starts all its workers at once, so at most one per trial.
     """
     return max(1, min(n_workers, len(plan.groups()) * plan.trials_per_cell))
 
 
-def run_sweep(plan: ExperimentPlan, n_workers: int = 1) -> list[MseRecord]:
-    """Run every (snr, m, mode) group and aggregate per-floor records.
+def run_trials(plan: ExperimentPlan, n_workers: int = 1) -> list[TrialResult]:
+    """Every trial of the plan: trial t of group gi is element
+    ``gi * trials_per_cell + t``.
 
-    A trial produces both floors' estimates, so floor cells that share
-    (snr, m, mode) are paired on the same realizations.  Results are
-    bit-identical for any worker count: substreams are keyed by group
-    and trial index, and records are assembled in plan order.  Each
-    worker draws a record's noise on two threads when that leaves no
-    more threads than CPUs this process may use, else on one; the bytes
-    are the same either way.
+    Results are bit-identical for any worker count: substreams are keyed
+    by group and trial index.  Each worker draws a record's noise on two
+    threads when that leaves no more threads than CPUs this process may
+    use, else on one; the bytes are the same either way.
     """
-    groups = plan.groups()
-    n = plan.trials_per_cell
     workers = sweep_workers(plan, n_workers)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    draw_threads = 2 if 2 * workers <= cpus else 1
-    tasks = [(plan, gi, g, t, draw_threads)
-             for gi, g in enumerate(groups) for t in range(n)]
+    trial = partial(run_trial, plan, draw_threads=2 if 2 * workers <= cpus else 1)
+    columns = zip(*[(snr, m, mode, t, gi)
+                    for gi, (snr, m, mode) in enumerate(plan.groups())
+                    for t in range(plan.trials_per_cell)])
     if workers == 1:
-        results = list(map(_trial_task, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_task, tasks))
+        return list(map(trial, *columns))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(trial, *columns))
 
+
+def mse_records(plan: ExperimentPlan, trials: list[TrialResult]) -> list[MseRecord]:
+    """Per-floor records of the plan's trials, as :func:`run_trials`
+    orders them.  A trial produces both floors' estimates, so floor cells
+    that share (snr, m, mode) are paired on the same realizations."""
+    n = plan.trials_per_cell
     t_s = plan.frame_cfg.symbol_duration
     records = []
-    for gi, (snr, m, mode) in enumerate(groups):
-        trials = results[gi * n:(gi + 1) * n]
+    for gi, (snr, m, mode) in enumerate(plan.groups()):
+        cell = trials[gi * n:(gi + 1) * n]
         for floor in plan.floors:
             errs = np.array([
                 wrapped_error(
                     t.tau_hat_coarse if floor == "coarse_only" else t.tau_hat_fine,
                     t.delta_tau_true, t_s)
-                for t in trials
+                for t in cell
             ])
             sq = (errs / t_s) ** 2
             mse = float(np.mean(sq))
             std_error = float(np.std(sq, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
             records.append(MseRecord(snr, m, mode, floor, mse, std_error, n))
     return records
+
+
+def run_sweep(plan: ExperimentPlan, n_workers: int = 1) -> list[MseRecord]:
+    """Run every trial of the plan and aggregate its per-floor records."""
+    return mse_records(plan, run_trials(plan, n_workers))
 
 
 def _fmt(value: float) -> str:

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from uwbsync import (ConfigError, CoarseConfig, ExperimentPlan, FineConfig,
                      FrameConfig)
+from uwbsync import harness
 from uwbsync.cli import _SCHEMA, load_plan, main, plan_to_config_text
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
@@ -335,6 +336,37 @@ TRIAL_LINE = re.compile(
     r"fine tau2 (\S+) ns \(error (\S+) ns\)$", re.MULTILINE)
 
 
+def test_dump_objectives_reports_the_sweeps_own_trial_0(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "two_groups.cfg"
+    path.write_text(ONE_CELL_CONFIG.format(model="single_path", snr="10", m=8,
+                                           mode="nda, da", seed=3)
+                    .replace("trials_per_cell = 1", "trials_per_cell = 3"))
+    built = []
+    build_trial_scene = harness.build_trial_scene
+
+    def spy(*args, **kwargs):
+        built.append(args[4:6])  # (trial, group)
+        return build_trial_scene(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_trial_scene", spy)
+    out = tmp_path / "o"
+    assert main(["sweep", str(path), "--threads", "1", "--out", str(out),
+                 "--dump-objectives"]) == 0
+    assert built == [(t, g) for g in range(2) for t in range(3)]
+    lines = TRIAL_LINE.findall(capsys.readouterr().out)
+    plan = load_plan(path)
+    trials = harness.run_trials(plan)
+    assert [line[0] for line in lines] == ["snr10_m8_nda", "snr10_m8_da"]
+    for gi, (tag, dtau, tau1, _, tau2, _) in enumerate(lines):
+        trial = trials[gi * plan.trials_per_cell]
+        assert (dtau, tau1, tau2) == tuple(
+            f"{x * 1e9:.4f}" for x in (trial.delta_tau_true, trial.tau_hat_coarse,
+                                       trial.tau_hat_fine))
+        for floor, curve in zip(("coarse", "fine"), trial.objectives):
+            rows = (out / f"objective_{floor}_{tag}.txt").read_text().splitlines()
+            assert [float(row.split()[1]) for row in rows] == curve.tolist()
+
+
 class TestCiPins:
     """Each output pinned in configs/ci/SHA256SUMS, made as CI makes it."""
 
@@ -355,9 +387,12 @@ class TestCiPins:
     def test_one_group_on_1_and_2_workers_and_its_manifest(self, tmp_path,
                                                            monkeypatch):
         # One worker on two or more CPUs draws each record's noise on two
-        # threads; two workers draw on one thread each below four CPUs.
-        self.sweep(CI_CONFIGS / "one_group.cfg", tmp_path / "out_t1", "--threads", "1")
-        self.sweep(CI_CONFIGS / "one_group.cfg", tmp_path / "out_t2", "--threads", "2")
+        # threads; two workers draw on one thread each below four CPUs.  The
+        # dumped curves come back from a pool worker at two workers.
+        self.sweep(CI_CONFIGS / "one_group.cfg", tmp_path / "out_t1", "--threads", "1",
+                   "--dump-objectives")
+        self.sweep(CI_CONFIGS / "one_group.cfg", tmp_path / "out_t2", "--threads", "2",
+                   "--dump-objectives")
         # Nothing outside the file changes a run, a seed in the environment
         # included.
         monkeypatch.setenv("UWB_SYNC_SEED", "5")
@@ -367,6 +402,12 @@ class TestCiPins:
         csv = (tmp_path / "out_t1" / "results.csv").read_bytes()
         for other in ("out_t2", "out_manifest"):
             assert (tmp_path / other / "results.csv").read_bytes() == csv
+        dumps = sorted(f.name for f in (tmp_path / "out_t1").glob("objective_*.txt"))
+        assert dumps == ["objective_coarse_snr12_m8_nda.txt",
+                         "objective_fine_snr12_m8_nda.txt"]
+        for name in dumps:
+            assert ((tmp_path / "out_t2" / name).read_bytes()
+                    == (tmp_path / "out_t1" / name).read_bytes()), name
 
     def test_ties_on_1_and_2_workers(self, tmp_path):
         self.sweep(CI_CONFIGS / "ties.cfg", tmp_path / "out_ties_t1", "--threads", "1")

@@ -16,13 +16,14 @@ from uwbsync import (
     FineConfig,
     FrameConfig,
     MseRecord,
+    TrialResult,
     records_to_csv,
     run_sweep,
     run_trial,
     wrapped_error,
 )
 from uwbsync import harness
-from uwbsync.harness import snr_label
+from uwbsync.harness import mse_records, run_trials, snr_label
 
 TS = 1120e-9
 
@@ -42,8 +43,8 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     return started
@@ -152,7 +153,49 @@ class TestRunTrial:
         assert a.delta_tau_true != b.delta_tau_true
 
 
+class TestMseRecords:
+    PLAN = ExperimentPlan(snr_grid_db=(4.0,), m_grid=(8,), modes=("nda", "da"),
+                          trials_per_cell=2)
+
+    @staticmethod
+    def trial(coarse_err, fine_err):
+        # Errors in symbols around a true offset of half a symbol.
+        return TrialResult((0.5 + coarse_err) % 1 * TS, (0.5 + fine_err) % 1 * TS,
+                           0.5 * TS)
+
+    def test_known_mse_and_std_error_of_each_floor(self):
+        trials = [self.trial(0.1, 0.0), self.trial(0.3, 0.2),
+                  self.trial(-0.25, 0.05), self.trial(0.05, -0.05)]
+        # Two trials of squared errors a, b: MSE (a + b) / 2, std error |a - b| / 2.
+        expected = [("nda", "coarse_only", 0.05, 0.04),
+                    ("nda", "coarse_plus_fine", 0.02, 0.02),
+                    ("da", "coarse_only", 0.0325, 0.03),
+                    ("da", "coarse_plus_fine", 0.0025, 0.0)]
+        records = mse_records(self.PLAN, trials)
+        assert [(r.snr_db, r.m, r.mode, r.floor, r.n_trials) for r in records] == [
+            (4.0, 8, mode, floor, 2) for mode, floor, _, _ in expected]
+        for rec, (_, _, mse, std_error) in zip(records, expected):
+            assert rec.normalized_mse == pytest.approx(mse, rel=1e-9)
+            assert rec.std_error == pytest.approx(std_error, rel=1e-9, abs=1e-15)
+
+    def test_one_trial_has_zero_std_error(self):
+        plan = replace(self.PLAN, modes=("nda",), trials_per_cell=1)
+        coarse, fine = mse_records(plan, [self.trial(0.1, -0.2)])
+        assert coarse.normalized_mse == pytest.approx(0.01, rel=1e-9)
+        assert fine.normalized_mse == pytest.approx(0.04, rel=1e-9)
+        assert coarse.std_error == fine.std_error == 0.0
+
+
 class TestRunSweep:
+    def test_only_trial_0_of_each_group_keeps_its_curves(self):
+        plan = ExperimentPlan(snr_grid_db=(8.0,), m_grid=(4,), modes=("nda", "da"),
+                              trials_per_cell=2, channel_model="single_path")
+        trials = run_trials(plan)
+        assert [t.objectives is None for t in trials] == [False, True, False, True]
+        coarse, fine = trials[0].objectives
+        assert len(coarse) == plan.coarse_cfg.grid_size(plan.frame_cfg)
+        assert len(fine) == 2 * plan.fine_cfg.n_steps - 1
+
     def test_single_trial_cell_equals_trial_error(self):
         plan = ExperimentPlan(
             snr_grid_db=(math.inf,), m_grid=(8,), modes=("da",), trials_per_cell=1,

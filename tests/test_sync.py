@@ -1,6 +1,7 @@
 """Synchronizer floors: templates, correlations, coarse and fine search."""
 
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from uwbsync import (
     two_floor_sync,
     wrapped_error,
 )
-from uwbsync.harness import build_trial_scene
+from uwbsync.harness import build_trial_scene, run_trials
 from uwbsync.sync import coarse_extent, fine_extent
 
 from oracles import (
@@ -585,13 +586,11 @@ class TestModeContrast:
     def test_da_median_error_not_worse_than_nda(self, cfg):
         # Training symbols help: at a mid SNR and short observation, the
         # DA coarse floor's median squared error stays at or below NDA's.
-        from uwbsync import ExperimentPlan, run_trial
-        plan = ExperimentPlan()
+        # NDA is group 0 and DA group 1, 200 trials each.
+        plan = ExperimentPlan(snr_grid_db=(12.0,), m_grid=(8,), modes=("nda", "da"))
+        assert plan.trials_per_cell == 200
+        trials = run_trials(plan, n_workers=os.cpu_count() or 1)
         t_s = cfg.symbol_duration
-        sq = {"nda": [], "da": []}
-        for mode, gi in (("nda", 0), ("da", 1)):
-            for t in range(200):
-                res = run_trial(plan, 12.0, 8, mode, t, group_index=gi)
-                e = wrapped_error(res.tau_hat_coarse, res.delta_tau_true, t_s)
-                sq[mode].append((e / t_s) ** 2)
-        assert np.median(sq["da"]) <= np.median(sq["nda"])
+        sq = [(wrapped_error(t.tau_hat_coarse, t.delta_tau_true, t_s) / t_s) ** 2
+              for t in trials]
+        assert np.median(sq[200:]) <= np.median(sq[:200])
