@@ -62,8 +62,8 @@ CSV_HEADER = "snr_db,m,mode,floor,normalized_mse,std_error,n_trials"
 class ExperimentPlan:
     """A full sweep: grids, trial count, seed, and module configs.
 
-    These field defaults are the only defaults of the sweep config keys.
-    Every trial runs both floors, so every cell reports both.
+    Its fields are exactly the config keys, and these defaults their only
+    defaults.  Every trial runs both floors, so every cell reports both.
     """
 
     floors: ClassVar[tuple[str, ...]] = FLOORS
@@ -108,9 +108,12 @@ class ExperimentPlan:
             raise ConfigError(f"{self.channel_max_delay!r} s must be positive and "
                               "finite", field="channel_max_delay")
         # Each trial redraws its hopping code until no pulse leaks out of
-        # its frame (draw_th_code); the alphabet must make running out of
-        # draws negligible.
+        # its frame (draw_th_code), so a plan's own code would go unused;
+        # the alphabet must make running out of draws negligible.
         frame = self.frame_cfg
+        if frame != replace(frame, th_code=None):
+            raise ConfigError(f"th_code {frame.th_code}: every trial draws its "
+                              "own hopping code", field="th_code")
         p_fit = (frame.n_fitting_chips / frame.n_chips) ** frame.n_frames_per_symbol
         if (1.0 - p_fit) ** TH_CODE_ATTEMPTS > 1e-12:
             raise ConfigError(
@@ -124,10 +127,10 @@ class ExperimentPlan:
             raise ConfigError(
                 f"a step of {fine.fine_step * frame.sample_rate:g} samples is "
                 f"below one sample at {frame.sample_rate!r} Hz", field="fine_step")
-        # The fine scan's guard is one symbol: at tau1 = 0 and a code
-        # starting at chip 0, its first window must not start before sample 0.
+        # The fine scan's guard is one symbol: at tau1 = 0 and the plan's
+        # all-zero code, its first window must not start before sample 0.
         n_s = frame.n_symbol_samples
-        lo, _ = fine_extent(replace(frame, th_code=None), fine, 0.0)
+        lo, _ = fine_extent(frame, fine, 0.0)
         if lo < 0:
             raise ConfigError(
                 f"t_corr {fine.t_corr!r} s: the fine scan reaches {n_s - lo} "
@@ -180,10 +183,9 @@ def wrapped_error(tau_hat: float, delta_tau: float, t_symbol: float) -> float:
 
 @dataclass(frozen=True)
 class TrialScene:
-    """What one trial draws, and its coarse config, before the floors run."""
+    """What one trial draws before the floors run."""
 
     cfg: object
-    coarse_cfg: CoarseConfig
     channel: object
     delta_tau: float
     bits: SymbolSequence
@@ -213,9 +215,9 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
 
     delta_tau = float(np.random.default_rng(s_dtau).uniform(0.0, cfg.symbol_duration))
 
-    cc = replace(plan.coarse_cfg, n_symbols=m, mode=mode)
+    cc = plan.coarse_cfg
     last_tau1 = (cc.grid_size(cfg) - 1) * cc.search_step
-    extent = max(coarse_extent(cfg, cc), fine_extent(cfg, plan.fine_cfg, last_tau1)[1])
+    extent = max(coarse_extent(cfg, cc, m), fine_extent(cfg, plan.fine_cfg, last_tau1)[1])
     k_total = -(-extent // cfg.n_symbol_samples)
     if mode == "da":
         bits = SymbolSequence([training_pattern(k) for k in range(k_total)])
@@ -224,7 +226,7 @@ def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
 
     r = propagate(bits, ch, cfg, timing_offset=delta_tau, snr_db=snr_db,
                   noise_seed=s_noise, draw_threads=draw_threads)
-    return TrialScene(cfg, cc, ch, delta_tau, bits, r)
+    return TrialScene(cfg, ch, delta_tau, bits, r)
 
 
 def run_trial(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
@@ -234,7 +236,8 @@ def run_trial(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
     run both floors on it.  Trial 0 keeps its objective curves."""
     scene = build_trial_scene(plan, snr_db, m, mode, trial_index, group_index,
                               draw_threads=draw_threads)
-    est = two_floor_sync(scene.received, scene.cfg, scene.coarse_cfg, plan.fine_cfg)
+    est = two_floor_sync(scene.received, scene.cfg, plan.coarse_cfg, plan.fine_cfg,
+                         m, mode)
     objectives = (est.coarse_objective, est.fine_objective) if trial_index == 0 else None
     return TrialResult(est.tau1, est.tau2, scene.delta_tau, objectives)
 

@@ -47,19 +47,10 @@ COARSE_MODES = ("nda", "da")
 
 @dataclass(frozen=True)
 class CoarseConfig:
-    """First-floor settings: observation length, mode and search grid."""
+    """First-floor search grid.  A sweep cell's observation length M and
+    mode are arguments of the floor itself (:func:`coarse_sync`)."""
 
-    n_symbols: int = 16
-    mode: str = "nda"
     search_step: float = 35e-9
-
-    def __post_init__(self):
-        if self.n_symbols < 1:
-            raise ConfigError("n_symbols must be >= 1")
-        if self.mode not in COARSE_MODES:
-            raise ConfigError(f"mode {self.mode!r} not in {COARSE_MODES}")
-        if self.search_step <= 0:
-            raise ConfigError("search_step must be positive", field="search_step")
 
     def grid_size(self, cfg: FrameConfig) -> int:
         """Candidates in [0, T_s): a whole number of samples apart, and the
@@ -119,12 +110,12 @@ def _pattern_signs(m: int) -> np.ndarray:
     return np.where(k % 2 == 0, 1.0, -1.0)
 
 
-def coarse_extent(cfg: FrameConfig, cc: CoarseConfig) -> int:
-    """Samples the coarse floor reads from the record start: up to the end
-    of the last candidate's (M+1)-th segment, the first starting at n_s."""
+def coarse_extent(cfg: FrameConfig, cc: CoarseConfig, m: int) -> int:
+    """Samples the coarse floor reads from the record start at M = ``m``:
+    up to the end of the last candidate's (M+1)-th segment, the first at n_s."""
     n_s = cfg.n_symbol_samples
     n_grid = cc.grid_size(cfg)
-    return (cc.n_symbols + 2) * n_s + (n_grid - 1) * (n_s // n_grid)
+    return (m + 2) * n_s + (n_grid - 1) * (n_s // n_grid)
 
 
 def fine_extent(cfg: FrameConfig, fc: FineConfig, tau1: float) -> tuple[int, int]:
@@ -152,27 +143,30 @@ def _samples_on_grid(r: SampledWaveform, cfg: FrameConfig) -> np.ndarray:
     return r.samples
 
 
-def coarse_sync(r: SampledWaveform, cfg: FrameConfig,
-                cc: CoarseConfig) -> tuple[float, np.ndarray]:
+def coarse_sync(r: SampledWaveform, cfg: FrameConfig, cc: CoarseConfig,
+                m: int, mode: str) -> tuple[float, np.ndarray]:
     """Blind coarse acquisition over the offset grid in [0, T_s).
 
-    For each candidate tau the statistic averages M adjacent-segment
-    correlations; NDA squares each term (mean of squares), DA applies the
-    known training-pattern signs before averaging (square of mean).  The
-    transmitted pattern alternates, so consecutive correlations flip
-    sign; folding the known signs in is what makes the DA average
+    For each candidate tau the statistic averages M = ``m`` adjacent-segment
+    correlations; ``mode`` "nda" squares each term (mean of squares), "da"
+    applies the known training-pattern signs before averaging (square of
+    mean).  The transmitted pattern alternates, so consecutive correlations
+    flip sign; folding the known signs in is what makes the DA average
     accumulate coherently.  Returns the argmax (ties -> smallest tau) and
     the full objective curve.
     """
+    if m < 1:
+        raise ValueError(f"M = {m} must be >= 1")
+    if mode not in COARSE_MODES:
+        raise ValueError(f"mode {mode!r} not in {COARSE_MODES}")
     fs = cfg.sample_rate
     n_s = cfg.n_symbol_samples
     n_d = cfg.n_shift_samples
-    m = cc.n_symbols
     n_grid = cc.grid_size(cfg)
     step_samples = n_s // n_grid
 
     x = _samples_on_grid(r, cfg)
-    need = coarse_extent(cfg, cc)
+    need = coarse_extent(cfg, cc, m)
     if need > len(x):
         raise ValueError(
             f"record too short for coarse search: need {need} samples, "
@@ -201,7 +195,7 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig,
     seg = sliding_window_view(blocks, n_grid).sum(axis=1)
     corr = seg.reshape(m, n_grid).T / fs
 
-    if cc.mode == "nda":
+    if mode == "nda":
         objective = np.mean(corr ** 2, axis=1)
     else:
         signs = _pattern_signs(m)
@@ -271,13 +265,14 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
 
 
 def two_floor_sync(r: SampledWaveform, cfg: FrameConfig, cc: CoarseConfig,
-                   fc: FineConfig) -> SyncEstimate:
+                   fc: FineConfig, m: int, mode: str) -> SyncEstimate:
     """Run both floors and assemble the estimate with diagnostics.
 
-    tau2 is reported modulo the symbol duration; the raw scan offset
-    n_opt stays available for diagnostics.
+    The coarse floor runs at M = ``m`` in ``mode``.  tau2 is reported
+    modulo the symbol duration; the raw scan offset n_opt stays available
+    for diagnostics.
     """
-    tau1, coarse_obj = coarse_sync(r, cfg, cc)
+    tau1, coarse_obj = coarse_sync(r, cfg, cc, m, mode)
     tau2_raw, n_opt, fine_obj = fine_sync(r, tau1, cfg, fc)
     t_s = cfg.symbol_duration
     tau2 = tau2_raw % t_s

@@ -80,7 +80,7 @@ def noiseless_trials():
     shipped default."""
     cfg = FRAME
     plan = ExperimentPlan()
-    cc = CoarseConfig(n_symbols=16, mode="da")
+    cc = plan.coarse_cfg
     fc = plan.fine_cfg
     rng = np.random.default_rng(20260801)
     bits = SymbolSequence([training_pattern(k) for k in range(16 + 12)])
@@ -89,7 +89,7 @@ def noiseless_trials():
     for _ in range(50):
         dtau = float(rng.uniform(0.0, TS))
         r = propagate(bits, single_path(), cfg, timing_offset=dtau)
-        est = two_floor_sync(r, cfg, cc, fc)
+        est = two_floor_sync(r, cfg, cc, fc, 16, "da")
         errs.append((wrapped_error(est.tau1, dtau, TS),
                      wrapped_error(est.tau2, dtau, TS)))
     return errs, time.time() - t0, cc, fc
@@ -155,7 +155,7 @@ class TestCriterion02EnergyIdentity:
 class TestCriterion03ObjectivePeak:
     def test_noiseless_nda_argmax_near_truth(self):
         cfg = FRAME
-        cc = CoarseConfig(n_symbols=64, mode="nda")
+        cc = CoarseConfig()
         rng = np.random.default_rng(7)
         hits = 0
         n_seeds = 100
@@ -164,7 +164,7 @@ class TestCriterion03ObjectivePeak:
             dtau = float(rng.uniform(0.0, TS))
             bits = SymbolSequence.random(64 + 12, 70_000 + seed)
             r = propagate(bits, ch, cfg, timing_offset=dtau)
-            tau1, _ = coarse_sync(r, cfg, cc)
+            tau1, _ = coarse_sync(r, cfg, cc, 64, "nda")
             err = abs(wrapped_error(tau1, dtau, TS))
             hits += err <= cc.search_step + 1e-15
         report("3 (objective peak)", hits >= 90,
@@ -263,7 +263,7 @@ class TestCriterion10ScaleInvariance:
     def test_argmax_invariant_to_amplitude(self):
         cfg = FRAME
         plan = ExperimentPlan()
-        cc = CoarseConfig(n_symbols=8, mode="nda")
+        cc = plan.coarse_cfg
         fc = plan.fine_cfg
         rng = np.random.default_rng(1234)
         for trial in range(20):
@@ -272,10 +272,10 @@ class TestCriterion10ScaleInvariance:
             bits = SymbolSequence.random(8 + 12, 50_000 + trial)
             r = propagate(bits, ch, cfg, timing_offset=dtau, snr_db=10.0,
                           noise_seed=60_000 + trial)
-            ref = two_floor_sync(r, cfg, cc, fc)
+            ref = two_floor_sync(r, cfg, cc, fc, 8, "nda")
             for scale in (1e-3, 1e3):
                 scaled = SampledWaveform(r.samples * scale, r.sample_rate)
-                est = two_floor_sync(scaled, cfg, cc, fc)
+                est = two_floor_sync(scaled, cfg, cc, fc, 8, "nda")
                 assert est.tau1 == ref.tau1
                 assert est.n_opt == ref.n_opt
                 assert est.tau2 == ref.tau2

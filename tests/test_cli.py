@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,7 @@ class TestConfig:
         ("[frame]\nframe_duration_ns = 1.5", "frame_duration_ns"),  # pulse leaks out
         ("[frame]\nsample_rate_ghz = 0", "sample_rate_ghz"),
         ("[coarse]\nsearch_step_ns = 0", "search_step_ns"),
+        ("[coarse]\nsearch_step_ns = -35", "search_step_ns"),
         ("[coarse]\nsearch_step_ns = 33", "search_step_ns"),  # does not divide T_s
         ("[coarse]\nsearch_step_ns = 0.035", "search_step_ns"),  # 1.75 samples
         ("[fine]\nfine_step_ns = -1", "fine_step_ns"),
@@ -252,6 +254,32 @@ def test_manifest_reloads_any_plan_exactly(plan, env_seed, tmp_path, monkeypatch
     path = tmp_path / "manifest.cfg"
     path.write_text(plan_to_config_text(plan))
     assert load_plan(path) == plan
+
+
+def test_every_plan_field_is_a_config_key():
+    # So the manifest holds the whole plan, and the round trip above
+    # covers every field.  th_code is no key: a plan refuses a code of its
+    # own, since every trial draws one.
+    plan = ExperimentPlan()
+    leaves = []
+    for f in fields(plan):
+        value = getattr(plan, f.name)
+        if is_dataclass(value):
+            leaves += [f"{f.name}.{g.name}" for g in fields(value)]
+        else:
+            leaves.append(f.name)
+    leaves.remove("frame_cfg.th_code")
+    assert sorted(leaves) == sorted(field for _, _, field, _ in _SCHEMA)
+
+
+def test_no_module_reads_the_environment():
+    # The config file is the whole run; the test above sets one variable,
+    # this one checks that no module can read any.
+    src = Path(__file__).resolve().parents[1] / "src" / "uwbsync"
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        for word in ("os.environ", "getenv", "putenv"):
+            assert word not in text, f"{path.name} mentions {word}"
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

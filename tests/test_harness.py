@@ -3,7 +3,7 @@
 import importlib.util
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from uwbsync import (
     records_to_csv,
     run_sweep,
     run_trial,
+    two_floor_sync,
     wrapped_error,
 )
 from uwbsync import harness
@@ -110,6 +111,14 @@ class TestPlanGuards:
         res = run_trial(plan, 8.0, 4, "da", 0, 0)
         assert 0.0 <= res.tau_hat_fine < plan.frame_cfg.symbol_duration
 
+    def test_a_plan_holds_no_hopping_code(self):
+        # Every trial draws its own code, so a plan's own would go unused
+        # and the manifest would drop it.
+        ExperimentPlan(frame_cfg=FrameConfig(th_code=(0,) * 32))
+        with pytest.raises(ConfigError, match="draws its own") as exc:
+            ExperimentPlan(frame_cfg=FrameConfig(th_code=(3,) * 32))
+        assert exc.value.field == "th_code"
+
     def test_chip_alphabet_must_let_trials_draw_a_code(self):
         # 34 of the chips fit a 35 ns frame.  At 38 chips all 1000 draws of
         # a trial fail with probability 2.9e-13, at 39 with 3.8e-6.
@@ -145,6 +154,17 @@ class TestRunTrial:
             monkeypatch.setattr(np, name, no_blas, raising=False)
         monkeypatch.setattr(np.linalg, "norm", no_blas)
         run_trial(plan, 8.0, 8, "nda", 1, 0)
+
+    def test_the_cell_gives_the_coarse_floor_its_m_and_mode(self):
+        # A scene holds only what a trial draws; M and mode reach the
+        # floor from the cell.
+        assert "coarse_cfg" not in {f.name for f in fields(harness.TrialScene)}
+        plan = ExperimentPlan()
+        scene = harness.build_trial_scene(plan, 8.0, 4, "da", 2, 0)
+        est = two_floor_sync(scene.received, scene.cfg, plan.coarse_cfg,
+                             plan.fine_cfg, 4, "da")
+        res = run_trial(plan, 8.0, 4, "da", 2, 0)
+        assert (res.tau_hat_coarse, res.tau_hat_fine) == (est.tau1, est.tau2)
 
     def test_trials_draw_independent_randomness(self):
         plan = ExperimentPlan()

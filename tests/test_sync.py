@@ -3,7 +3,7 @@
 import math
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -137,12 +137,12 @@ class TestCoarseSync:
         # Objective peaks at the true offset; on the frame grid the argmax
         # may sit anywhere inside the code-dependent flat around it.
         rng = np.random.default_rng(3)
-        cc = CoarseConfig(n_symbols=32, mode="nda")
+        cc = CoarseConfig()
         for trial in range(4):
             delta_tau = float(rng.uniform(0, cfg.symbol_duration))
             bits = list(rng.integers(0, 2, size=32 + 12))
             r = make_received(cfg, bits, delta_tau, noise_seed=trial)
-            tau1, objective = coarse_sync(r, cfg, cc)
+            tau1, objective = coarse_sync(r, cfg, cc, 32, "nda")
             err = abs(wrapped_error(tau1, delta_tau, cfg.symbol_duration))
             assert err <= 34e-9 + cc.search_step / 2
             assert len(objective) == 32
@@ -152,8 +152,8 @@ class TestCoarseSync:
         # dirty correlations.
         m = 6
         r = make_received(cfg, da_bits(m + 12), 87e-9, snr_db=14.0, noise_seed=5)
-        cc = CoarseConfig(n_symbols=m, mode="nda")
-        _, objective = coarse_sync(r, cfg, cc)
+        cc = CoarseConfig()
+        _, objective = coarse_sync(r, cfg, cc, m, "nda")
         origin = cfg.symbol_duration
         for gi in (0, 7, 19, 31):
             tau = gi * cc.search_step
@@ -174,8 +174,8 @@ class TestCoarseSync:
         # which bounds the DA one from above); the worst seen was 4.4e-13.
         cfg = replace(cfg, th_code=code)
         r = make_received(cfg, da_bits(m + 3), delta_tau, snr_db, noise_seed)
-        cc = CoarseConfig(n_symbols=m, mode=mode)
-        _, objective = coarse_sync(r, cfg, cc)
+        cc = CoarseConfig()
+        _, objective = coarse_sync(r, cfg, cc, m, mode)
         tau = cfg.symbol_duration + cell * cc.search_step
         xs = np.array([dirty_correlation(r, k, tau, cfg) for k in range(m)])
         scale = float(np.mean(xs ** 2))
@@ -190,8 +190,8 @@ class TestCoarseSync:
         plan = ExperimentPlan(base_seed=1, channel_model="single_path",
                               snr_grid_db=(math.inf,), m_grid=(16,))
         scene = build_trial_scene(plan, math.inf, 16, "nda", 43, 0)
-        cc = scene.coarse_cfg
-        tau1, objective = coarse_sync(scene.received, scene.cfg, cc)
+        cc = plan.coarse_cfg
+        tau1, objective = coarse_sync(scene.received, scene.cfg, cc, 16, "nda")
         assert tau1 == 315e-9
         assert len({objective[j].tobytes() for j in range(9, 13)}) == 1
         assert objective[9] > max(objective[8], objective[13])
@@ -208,7 +208,7 @@ class TestCoarseSync:
         # Noiseless over CM1 seeds: objective at the true cell beats every
         # candidate more than one frame away.
         from uwbsync import generate_cm1
-        cc = CoarseConfig(n_symbols=8, mode="da")
+        cc = CoarseConfig()
         t_s = cfg.symbol_duration
         hits = 0
         n_seeds = 50
@@ -218,7 +218,7 @@ class TestCoarseSync:
             delta_tau = float(rng.uniform(0, t_s))
             r = propagate(SymbolSequence(da_bits(8 + 12)), ch,
                           cfg, timing_offset=delta_tau)
-            _, objective = coarse_sync(r, cfg, cc)
+            _, objective = coarse_sync(r, cfg, cc, 8, "da")
             taus = np.arange(len(objective)) * cc.search_step
             dist = np.abs([wrapped_error(t, delta_tau, t_s) for t in taus])
             near_best = objective[dist <= cfg.frame_duration].max()
@@ -228,7 +228,7 @@ class TestCoarseSync:
 
     def test_noise_only_argmax_spreads_over_grid(self, cfg):
         # Null case: no signal at all; the argmax must not favor any cell.
-        cc = CoarseConfig(n_symbols=4, mode="nda")
+        cc = CoarseConfig()
         n_grid = 32
         need = (4 + 3) * cfg.n_symbol_samples
         counts = np.zeros(n_grid, int)
@@ -236,7 +236,7 @@ class TestCoarseSync:
         for seed in range(160):
             rng = np.random.default_rng(10_000 + seed)
             r = SampledWaveform(rng.normal(0.0, 1.0, size=need), FS)
-            tau1, objective = coarse_sync(r, cfg, cc)
+            tau1, objective = coarse_sync(r, cfg, cc, 4, "nda")
             counts[int(round(tau1 / cc.search_step))] += 1
             flatness.append(objective.max() / np.median(objective))
         from scipy import stats
@@ -248,7 +248,7 @@ class TestCoarseSync:
     def test_rejects_short_record(self, cfg):
         r = SampledWaveform(np.zeros(3 * cfg.n_symbol_samples), FS)
         with pytest.raises(ValueError):
-            coarse_sync(r, cfg, CoarseConfig(n_symbols=8))
+            coarse_sync(r, cfg, CoarseConfig(), 8, "nda")
 
     def test_rejects_a_record_on_another_grid(self, cfg):
         # The floors index the record on the frame format's grid only; the
@@ -257,13 +257,27 @@ class TestCoarseSync:
         half = SampledWaveform(r.samples[::2], FS / 2)
         rates = r"25000000000.0 Hz.*50000000000.0 Hz"
         with pytest.raises(ValueError, match=rates):
-            coarse_sync(half, cfg, CoarseConfig(n_symbols=2))
+            coarse_sync(half, cfg, CoarseConfig(), 2, "nda")
         with pytest.raises(ValueError, match=rates):
             fine_sync(half, 0.0, cfg, FineConfig(t_corr=1e-9, n_symbols_avg=1))
 
     def test_rejects_bad_grid(self, cfg):
         with pytest.raises(Exception):
             CoarseConfig(search_step=33e-9).grid_size(cfg)
+
+    def test_refuses_m_below_one_and_an_unknown_mode(self, cfg):
+        r = make_received(cfg, da_bits(10), 417e-9)
+        coarse_sync(r, cfg, CoarseConfig(), 1, "da")
+        with pytest.raises(ValueError, match="M = 0 must be >= 1"):
+            coarse_sync(r, cfg, CoarseConfig(), 0, "nda")
+        with pytest.raises(ValueError, match="mode 'xyz'"):
+            coarse_sync(r, cfg, CoarseConfig(), 1, "xyz")
+
+    def test_config_holds_only_the_search_grid(self):
+        # M and mode are a cell's arguments to the floor, not config fields.
+        assert [f.name for f in fields(CoarseConfig)] == ["search_step"]
+        with pytest.raises(TypeError):
+            CoarseConfig(n_symbols=4)
 
 
 class TestFineSync:
@@ -388,13 +402,13 @@ class TestFineSync:
 SHORT_FINE = FineConfig(t_corr=4e-9, n_symbols_avg=2)
 
 
-def coarse_min_samples(cfg, cc):
-    """Shortest record coarse_sync accepts: it ends at the last sample read,
-    the end of the last candidate's (M+1)-th segment, the first starting
-    one symbol in."""
+def coarse_min_samples(cfg, cc, m):
+    """Shortest record coarse_sync accepts at M = m: it ends at the last
+    sample read, the end of the last candidate's (M+1)-th segment, the
+    first starting one symbol in."""
     n_s = cfg.n_symbol_samples
     step = n_s // cc.grid_size(cfg)
-    return n_s + (cc.n_symbols + 1) * n_s + (cc.grid_size(cfg) - 1) * step
+    return n_s + (m + 1) * n_s + (cc.grid_size(cfg) - 1) * step
 
 
 def fine_min_samples(cfg, fc, tau1):
@@ -415,11 +429,12 @@ class TestReadExtent:
         return make_received(cfg, da_bits(10), 417e-9, snr_db=6.0, noise_seed=8)
 
     def test_one_sample_short_raises(self, cfg, record):
-        cc = CoarseConfig(n_symbols=2)
-        n = coarse_min_samples(cfg, cc)
-        coarse_sync(SampledWaveform(record.samples[:n], FS), cfg, cc)
+        cc = CoarseConfig()
+        n = coarse_min_samples(cfg, cc, 2)
+        coarse_sync(SampledWaveform(record.samples[:n], FS), cfg, cc, 2, "nda")
         with pytest.raises(ValueError, match="too short"):
-            coarse_sync(SampledWaveform(record.samples[:n - 1], FS), cfg, cc)
+            coarse_sync(SampledWaveform(record.samples[:n - 1], FS), cfg, cc, 2,
+                        "nda")
         tau1 = 31 * cc.search_step
         n = fine_min_samples(cfg, SHORT_FINE, tau1)
         fine_sync(SampledWaveform(record.samples[:n], FS), tau1, cfg, SHORT_FINE)
@@ -438,10 +453,11 @@ class TestReadExtent:
         def cut(n, extra=()):
             return SampledWaveform(np.concatenate((record.samples[:n], extra)), FS)
 
-        cc = CoarseConfig(n_symbols=m, mode="nda" if m % 2 else "da")
-        n = coarse_min_samples(cfg, cc)
-        tau1, obj = coarse_sync(cut(n), cfg, cc)
-        tau1_x, obj_x = coarse_sync(cut(n, tail), cfg, cc)
+        cc = CoarseConfig()
+        mode = "nda" if m % 2 else "da"
+        n = coarse_min_samples(cfg, cc, m)
+        tau1, obj = coarse_sync(cut(n), cfg, cc, m, mode)
+        tau1_x, obj_x = coarse_sync(cut(n, tail), cfg, cc, m, mode)
         assert tau1_x == tau1 and obj_x.tobytes() == obj.tobytes()
 
         tau1 = cell * cc.search_step
@@ -455,8 +471,8 @@ class TestReadExtent:
            t_corr=st.floats(0.0, 20e-9),
            step=st.sampled_from((0.1e-9, 0.25e-9, 1e-9)), k_avg=st.integers(1, 12))
     def test_extents_equal_the_oracles(self, cfg, m, cell, t_corr, step, k_avg):
-        cc = CoarseConfig(n_symbols=m)
-        assert coarse_extent(cfg, cc) == coarse_min_samples(cfg, cc)
+        cc = CoarseConfig()
+        assert coarse_extent(cfg, cc, m) == coarse_min_samples(cfg, cc, m)
         fc = FineConfig(t_corr=t_corr, fine_step=step, n_symbols_avg=k_avg)
         tau1 = cell * cc.search_step
         assert fine_extent(cfg, fc, tau1)[1] == fine_min_samples(cfg, fc, tau1)
@@ -470,17 +486,17 @@ class TestReadExtent:
             self, m, k_avg, t_corr, model, mode):
         # t_corr runs over [0, T_s]; the fine floor reads furthest at the
         # last coarse cell.
-        cc = CoarseConfig(n_symbols=m, mode=mode)
         fc = FineConfig(t_corr=t_corr * FRAME.symbol_duration, n_symbols_avg=k_avg)
-        plan = ExperimentPlan(coarse_cfg=cc, fine_cfg=fc, channel_model=model)
+        plan = ExperimentPlan(fine_cfg=fc, channel_model=model)
+        cc = plan.coarse_cfg
         scene = build_trial_scene(plan, math.inf, m, mode, 0, 0)
         tau1 = (cc.grid_size(scene.cfg) - 1) * cc.search_step
-        extent = max(coarse_min_samples(scene.cfg, cc),
+        extent = max(coarse_min_samples(scene.cfg, cc, m),
                      fine_min_samples(scene.cfg, fc, tau1))
         n_s = scene.cfg.n_symbol_samples
         assert (len(scene.bits) - 1) * n_s < extent <= len(scene.bits) * n_s
         assert len(scene.received.samples) == len(scene.bits) * n_s
-        coarse_sync(scene.received, scene.cfg, cc)
+        coarse_sync(scene.received, scene.cfg, cc, m, mode)
         fine_sync(scene.received, tau1, scene.cfg, fc)
 
 
@@ -490,9 +506,9 @@ class TestTwoFloorSync:
         # lands within one fine step even though the coarse floor cannot.
         delta_tau = 400.02e-9
         r = make_received(cfg, da_bits(16 + 12), delta_tau)
-        cc = CoarseConfig(n_symbols=16, mode="da", search_step=cfg.frame_duration)
+        cc = CoarseConfig(search_step=cfg.frame_duration)
         fc = FineConfig(fine_step=0.1e-9)
-        est = two_floor_sync(r, cfg, cc, fc)
+        est = two_floor_sync(r, cfg, cc, fc, 16, "da")
         assert abs(est.tau2 - delta_tau) <= 0.1e-9 + 1e-15
         # the coarse estimate itself stays on the frame grid
         assert est.tau1 / cc.search_step == pytest.approx(
@@ -501,12 +517,12 @@ class TestTwoFloorSync:
     def test_scale_invariance_bit_exact(self, cfg):
         bits = list(np.random.default_rng(8).integers(0, 2, 20))
         r = make_received(cfg, bits, 333e-9, snr_db=10.0, noise_seed=9)
-        cc = CoarseConfig(n_symbols=8, mode="nda")
+        cc = CoarseConfig()
         fc = FineConfig()
-        ref = two_floor_sync(r, cfg, cc, fc)
+        ref = two_floor_sync(r, cfg, cc, fc, 8, "nda")
         for c in (1e-3, 1e3):
             rc = SampledWaveform(r.samples * c, r.sample_rate)
-            est = two_floor_sync(rc, cfg, cc, fc)
+            est = two_floor_sync(rc, cfg, cc, fc, 8, "nda")
             assert est.tau1 == ref.tau1
             assert est.n_opt == ref.n_opt
             assert est.tau2 == ref.tau2
@@ -517,7 +533,7 @@ class TestTwoFloorSync:
             delta_tau = float(rng.uniform(0, cfg.symbol_duration))
             bits = list(rng.integers(0, 2, 20))
             r = make_received(cfg, bits, delta_tau, snr_db=8.0, noise_seed=trial)
-            est = two_floor_sync(r, cfg, CoarseConfig(n_symbols=8), FineConfig())
+            est = two_floor_sync(r, cfg, CoarseConfig(), FineConfig(), 8, "nda")
             assert 0.0 <= est.tau1 < cfg.symbol_duration
             assert 0.0 <= est.tau2 < cfg.symbol_duration
             assert abs(est.n_opt) * 0.25e-9 <= 560e-9
@@ -529,10 +545,10 @@ class TestTwoFloorSync:
         bits = da_bits(16 + 13)
         r = make_received(cfg, bits, delta_tau)
         r_shifted = SampledWaveform(r.samples[cfg.n_symbol_samples:], FS)
-        cc = CoarseConfig(n_symbols=16, mode="da")
+        cc = CoarseConfig()
         fc = FineConfig()
-        a = two_floor_sync(r, cfg, cc, fc)
-        b = two_floor_sync(r_shifted, cfg, cc, fc)
+        a = two_floor_sync(r, cfg, cc, fc, 16, "da")
+        b = two_floor_sync(r_shifted, cfg, cc, fc, 16, "da")
         assert a.tau1 == b.tau1
         assert a.tau2 == b.tau2
 
@@ -550,7 +566,7 @@ class TestBuffers:
         fc = FineConfig(t_corr=1120.5 * step, fine_step=step, n_symbols_avg=2)
 
         def floors():
-            _, coarse = coarse_sync(r, cfg, CoarseConfig(n_symbols=8))
+            _, coarse = coarse_sync(r, cfg, CoarseConfig(), 8, "nda")
             _, _, fine = fine_sync(r, 0.0, cfg, fc)
             return coarse.tobytes(), fine.tobytes()
         expected = floors()
@@ -568,7 +584,7 @@ class TestBuffers:
         # traced peak stays well under two prefix sums.
         plan = ExperimentPlan()
         scene = build_trial_scene(plan, 8.0, 32, "nda", 0, 0)
-        tau1, _ = coarse_sync(scene.received, scene.cfg, scene.coarse_cfg)
+        tau1, _ = coarse_sync(scene.received, scene.cfg, plan.coarse_cfg, 32, "nda")
         _, hi = fine_extent(scene.cfg, plan.fine_cfg, tau1)
         csum_bytes = 8 * (hi - 2 * scene.cfg.n_symbol_samples + 1)
         tracemalloc.start()
