@@ -20,11 +20,9 @@ from .channel import (
 from .sync import (
     CoarseConfig,
     FineConfig,
-    SyncEstimate,
     training_pattern,
     coarse_sync,
     fine_sync,
-    two_floor_sync,
 )
 from .harness import (
     ExperimentPlan,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from io import StringIO
@@ -33,8 +32,9 @@ from .channel import (
     propagate,
     single_path,
 )
+from . import sync
 from .sync import (COARSE_MODES, CoarseConfig, FineConfig, coarse_extent,
-                   fine_extent, training_pattern, two_floor_sync)
+                   fine_extent, training_pattern)
 
 __all__ = [
     "ExperimentPlan",
@@ -236,10 +236,11 @@ def run_trial(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
     run both floors on it.  Trial 0 keeps its objective curves."""
     scene = build_trial_scene(plan, snr_db, m, mode, trial_index, group_index,
                               draw_threads=draw_threads)
-    est = two_floor_sync(scene.received, scene.cfg, plan.coarse_cfg, plan.fine_cfg,
-                         m, mode)
-    objectives = (est.coarse_objective, est.fine_objective) if trial_index == 0 else None
-    return TrialResult(est.tau1, est.tau2, scene.delta_tau, objectives)
+    # Through the module, so that a tracer replacing its floors sees them.
+    tau1, coarse = sync.coarse_sync(scene.received, scene.cfg, plan.coarse_cfg, m, mode)
+    tau2, _, fine = sync.fine_sync(scene.received, tau1, scene.cfg, plan.fine_cfg)
+    return TrialResult(tau1, tau2, scene.delta_tau,
+                       (coarse, fine) if trial_index == 0 else None)
 
 
 def sweep_workers(plan: ExperimentPlan, n_workers: int) -> int:
@@ -270,6 +271,8 @@ def run_trials(plan: ExperimentPlan, n_workers: int = 1) -> list[TrialResult]:
                     for t in range(plan.trials_per_cell)])
     if workers == 1:
         return list(map(trial, *columns))
+    # Imported here: it loads multiprocessing, which a serial run never uses.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(trial, *columns))
 

@@ -15,6 +15,10 @@ pattern, and the smallest symbol lag whose product is immune to the PPM
 bit shifts).  Its peak is pulse-sharp, which is what lets it repair both
 the coarse grid quantization and adjacent-frame coarse misses.
 
+Both floors report their offset in [0, T_s), as the estimators see the
+timing offset modulo one symbol.  Each also returns its objective curve,
+and the fine floor its raw scan step n_opt.
+
 The timing offset cuts into the record's first symbol, so both floors
 start one symbol in: the coarse floor's first segment at sample n_s, the
 fine scan centred on tau1 plus one symbol.
@@ -33,13 +37,11 @@ from .waveform import ConfigError, FrameConfig, SampledWaveform, _on_grid
 __all__ = [
     "CoarseConfig",
     "FineConfig",
-    "SyncEstimate",
     "training_pattern",
     "coarse_extent",
     "fine_extent",
     "coarse_sync",
     "fine_sync",
-    "two_floor_sync",
 ]
 
 COARSE_MODES = ("nda", "da")
@@ -73,10 +75,12 @@ class FineConfig:
     n_symbols_avg: int = 8
 
     def __post_init__(self):
-        if self.fine_step <= 0:
-            raise ConfigError("fine_step must be positive", field="fine_step")
-        if self.t_corr < 0:
-            raise ConfigError("t_corr must be non-negative", field="t_corr")
+        if not 0 < self.fine_step < math.inf:
+            raise ConfigError(f"fine_step {self.fine_step!r} must be positive "
+                              "and finite", field="fine_step")
+        if not 0 <= self.t_corr < math.inf:
+            raise ConfigError(f"t_corr {self.t_corr!r} must be non-negative "
+                              "and finite", field="t_corr")
         if self.n_symbols_avg < 1:
             raise ConfigError("n_symbols_avg must be >= 1", field="n_symbols_avg")
 
@@ -84,17 +88,6 @@ class FineConfig:
     def n_steps(self) -> int:
         """Scan size N; candidate steps are n = -N+1 ... N-1."""
         return max(1, int(math.ceil(self.t_corr / self.fine_step - 1e-9)))
-
-
-@dataclass
-class SyncEstimate:
-    """Both floors' estimates plus their objective curves."""
-
-    tau1: float
-    tau2: float
-    n_opt: int
-    coarse_objective: np.ndarray  # per candidate tau = j * search_step
-    fine_objective: np.ndarray  # per step n = -N+1 ... N-1 from tau1
 
 
 def training_pattern(k: int) -> int:
@@ -216,7 +209,8 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     and itself two symbols later|, taken in short windows placed at the
     receiver's own frame/chip positions.  Ties resolve to the smallest
     |n|, negative first.  Offsets are rounded to the sample grid per
-    candidate.
+    candidate.  Returns tau2 = (tau1 + n_opt*fine_step) mod T_s, n_opt and
+    the objective curve.
     """
     fs = cfg.sample_rate
     n_s = cfg.n_symbol_samples
@@ -260,26 +254,6 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     # first maximum of z taken in that order.
     order = np.lexsort((offsets, np.abs(offsets)))
     n_opt = int(offsets[order[np.argmax(z[order])]])
-    tau2 = tau1 + n_opt * fc.fine_step
+    tau2 = (tau1 + n_opt * fc.fine_step) % cfg.symbol_duration
     return tau2, n_opt, z
 
-
-def two_floor_sync(r: SampledWaveform, cfg: FrameConfig, cc: CoarseConfig,
-                   fc: FineConfig, m: int, mode: str) -> SyncEstimate:
-    """Run both floors and assemble the estimate with diagnostics.
-
-    The coarse floor runs at M = ``m`` in ``mode``.  tau2 is reported
-    modulo the symbol duration; the raw scan offset n_opt stays available
-    for diagnostics.
-    """
-    tau1, coarse_obj = coarse_sync(r, cfg, cc, m, mode)
-    tau2_raw, n_opt, fine_obj = fine_sync(r, tau1, cfg, fc)
-    t_s = cfg.symbol_duration
-    tau2 = tau2_raw % t_s
-    return SyncEstimate(
-        tau1=tau1,
-        tau2=tau2,
-        n_opt=n_opt,
-        coarse_objective=coarse_obj,
-        fine_objective=fine_obj,
-    )

@@ -52,7 +52,8 @@ class ConfigError(ValueError):
 def _on_grid(value_s: float, sample_rate: float, name: str) -> int:
     """Convert a duration to a whole number of at least one sample, or raise."""
     ticks = value_s * sample_rate
-    if ticks < 1 - _GRID_TOL or abs(ticks - round(ticks)) > _GRID_TOL:
+    if (not 1 - _GRID_TOL <= ticks < math.inf
+            or abs(ticks - round(ticks)) > _GRID_TOL):
         raise ConfigError(
             f"{name} = {value_s!r} s is not a whole number of at least one "
             f"sample at sample_rate = {sample_rate!r} Hz", field=name
@@ -86,8 +87,9 @@ class FrameConfig:
                               field="n_frames_per_symbol")
         if self.n_chips < 1:
             raise ConfigError("n_chips must be >= 1", field="n_chips")
-        if self.sample_rate <= 0:
-            raise ConfigError("sample_rate must be positive", field="sample_rate")
+        if not 0 < self.sample_rate < math.inf:
+            raise ConfigError(f"sample_rate {self.sample_rate!r} must be positive "
+                              "and finite", field="sample_rate")
         # Grid alignment: frame, chip, PPM shift and pulse duration must be
         # whole numbers of at least one sample so that shifts are sample-exact.
         for name in ("frame_duration", "chip_duration", "ppm_shift", "pulse_duration"):

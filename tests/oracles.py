@@ -13,6 +13,10 @@ et al., IEEE P802.15-02/490).
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -166,3 +170,13 @@ def fine_objective_cube(r, tau1, cfg, fc):
     cube = window_sums[(base + off_samples)[:, None] + pos[None, :]].reshape(
         len(offsets), fc.n_symbols_avg, len(frame_pos))
     return np.sum(np.abs(np.sum(cube, axis=2)), axis=1) / fs
+
+
+def run_python(code: str, **env_vars) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this source."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip()

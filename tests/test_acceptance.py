@@ -21,6 +21,7 @@ from uwbsync import (
     SymbolSequence,
     aggregate_template,
     coarse_sync,
+    fine_sync,
     generate_cm1,
     partial_energies,
     propagate,
@@ -29,7 +30,6 @@ from uwbsync import (
     run_trial,
     single_path,
     training_pattern,
-    two_floor_sync,
     wrapped_error,
 )
 from uwbsync.cli import load_plan, main
@@ -89,9 +89,10 @@ def noiseless_trials():
     for _ in range(50):
         dtau = float(rng.uniform(0.0, TS))
         r = propagate(bits, single_path(), cfg, timing_offset=dtau)
-        est = two_floor_sync(r, cfg, cc, fc, 16, "da")
-        errs.append((wrapped_error(est.tau1, dtau, TS),
-                     wrapped_error(est.tau2, dtau, TS)))
+        tau1, _ = coarse_sync(r, cfg, cc, 16, "da")
+        tau2, _, _ = fine_sync(r, tau1, cfg, fc)
+        errs.append((wrapped_error(tau1, dtau, TS),
+                     wrapped_error(tau2, dtau, TS)))
     return errs, time.time() - t0, cc, fc
 
 
@@ -272,13 +273,12 @@ class TestCriterion10ScaleInvariance:
             bits = SymbolSequence.random(8 + 12, 50_000 + trial)
             r = propagate(bits, ch, cfg, timing_offset=dtau, snr_db=10.0,
                           noise_seed=60_000 + trial)
-            ref = two_floor_sync(r, cfg, cc, fc, 8, "nda")
+            tau1, _ = coarse_sync(r, cfg, cc, 8, "nda")
+            ref = fine_sync(r, tau1, cfg, fc)[:2]
             for scale in (1e-3, 1e3):
                 scaled = SampledWaveform(r.samples * scale, r.sample_rate)
-                est = two_floor_sync(scaled, cfg, cc, fc, 8, "nda")
-                assert est.tau1 == ref.tau1
-                assert est.n_opt == ref.n_opt
-                assert est.tau2 == ref.tau2
+                assert coarse_sync(scaled, cfg, cc, 8, "nda")[0] == tau1
+                assert fine_sync(scaled, tau1, cfg, fc)[:2] == ref
         report("10 (scale invariance)", True,
                "20/20 trials bit-identical under 1e-3 and 1e3 scaling")
 

@@ -1,13 +1,9 @@
 """Channel model: tap statistics, propagation, energies, noise calibration."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +32,7 @@ from oracles import (
     pulse_train,
     record,
     rms_delay_spread,
+    run_python,
 )
 
 BITS = st.lists(st.integers(0, 1), min_size=1, max_size=5)
@@ -473,16 +470,6 @@ def test_symbol_long_energies_call_no_blas(cfg, monkeypatch):
     partial_energies(t, 400e-9, cfg.symbol_duration)
     energy(t)
     dirty_correlation(r, 1, 300e-9, cfg)
-
-
-def run_python(code: str, **env_vars) -> str:
-    """Standard output of ``code`` run in a fresh interpreter on this source."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, **env_vars)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    return out.stdout.strip()
 
 
 def test_import_loads_no_scipy():

@@ -1,5 +1,6 @@
 """Monte-Carlo harness: error metric, trial seeding, sweep aggregation."""
 
+import concurrent.futures
 import importlib.util
 import math
 import os
@@ -11,20 +12,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uwbsync import (
+    CoarseConfig,
     ConfigError,
     ExperimentPlan,
     FineConfig,
     FrameConfig,
     MseRecord,
     TrialResult,
+    coarse_sync,
+    fine_sync,
     records_to_csv,
     run_sweep,
     run_trial,
-    two_floor_sync,
     wrapped_error,
 )
 from uwbsync import harness
 from uwbsync.harness import mse_records, run_trials, snr_label
+
+from oracles import run_python
 
 TS = 1120e-9
 
@@ -47,7 +52,8 @@ def inline_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    # run_trials imports the pool class when it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return started
 
 
@@ -105,6 +111,19 @@ class TestPlanGuards:
             ExperimentPlan(fine_cfg=FineConfig(fine_step=0.001e-9))
         assert exc.value.field == "fine_step"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("part, cls, name", [
+        ("coarse_cfg", CoarseConfig, "search_step"),
+        ("frame_cfg", FrameConfig, "frame_duration"),
+        ("frame_cfg", FrameConfig, "sample_rate"),
+        ("fine_cfg", FineConfig, "fine_step"),
+        ("fine_cfg", FineConfig, "t_corr"),
+    ])
+    def test_a_non_finite_duration_names_its_field(self, part, cls, name, value):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentPlan(**{part: cls(**{name: value})})
+        assert exc.value.field == name
+
     def test_default_code_has_one_chip_per_frame(self):
         plan = ExperimentPlan(frame_cfg=FrameConfig(n_frames_per_symbol=16))
         assert plan.frame_cfg.th_code == (0,) * 16
@@ -161,10 +180,10 @@ class TestRunTrial:
         assert "coarse_cfg" not in {f.name for f in fields(harness.TrialScene)}
         plan = ExperimentPlan()
         scene = harness.build_trial_scene(plan, 8.0, 4, "da", 2, 0)
-        est = two_floor_sync(scene.received, scene.cfg, plan.coarse_cfg,
-                             plan.fine_cfg, 4, "da")
+        tau1, _ = coarse_sync(scene.received, scene.cfg, plan.coarse_cfg, 4, "da")
+        tau2, _, _ = fine_sync(scene.received, tau1, scene.cfg, plan.fine_cfg)
         res = run_trial(plan, 8.0, 4, "da", 2, 0)
-        assert (res.tau_hat_coarse, res.tau_hat_fine) == (est.tau1, est.tau2)
+        assert (res.tau_hat_coarse, res.tau_hat_fine) == (tau1, tau2)
 
     def test_trials_draw_independent_randomness(self):
         plan = ExperimentPlan()
@@ -265,6 +284,21 @@ class TestRunSweep:
         pooled = records_to_csv(run_sweep(plan, n_workers=500))
         assert inline_pool == [3]
         assert pooled == records_to_csv(run_sweep(plan, n_workers=1))
+
+    def test_a_serial_sweep_loads_no_process_pool(self):
+        # run_trials imports the pool only to start one, so a one-worker
+        # run leaves multiprocessing unloaded.
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+        code = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from uwbsync.cli import load_plan\n"
+            "from uwbsync.harness import run_trials\n"
+            f"plan = load_plan({str(cfg)!r})\n"
+            "run_trials(replace(plan, snr_grid_db=(8.0,), m_grid=(8,),\n"
+            "                   modes=('nda',), trials_per_cell=1), 1)\n"
+            "print('multiprocessing' in sys.modules)\n")
+        assert run_python(code) == "False"
 
     @pytest.mark.parametrize("workers, cpus, draw_threads",
                              [(1, 1, 1), (1, 2, 2), (2, 3, 1), (2, 4, 2)])

@@ -20,7 +20,6 @@ from uwbsync import (
     propagate,
     single_path,
     training_pattern,
-    two_floor_sync,
     wrapped_error,
 )
 from uwbsync.harness import build_trial_scene, run_trials
@@ -373,6 +372,16 @@ class TestFineSync:
         tau2, n_opt, z = fine_sync(r, 35e-9, cfg, FineConfig(t_corr=0.0))
         assert n_opt == 0 and tau2 == 35e-9 and len(z) == 1
 
+    def test_estimate_before_zero_wraps_into_the_symbol(self, cfg):
+        # The offset sits 1 ns below T_s, so a scan from tau1 = 0 peaks
+        # four steps back and reports the step modulo T_s.
+        fc = FineConfig()
+        r = make_received(cfg, da_bits(14), cfg.symbol_duration - 1e-9)
+        tau2, n_opt, _ = fine_sync(r, 0.0, cfg, fc)
+        assert n_opt == -4
+        assert tau2 == (n_opt * fc.fine_step) % cfg.symbol_duration
+        assert 0.0 <= tau2 < cfg.symbol_duration
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), step=st.floats(0.02e-9, 40e-9),
            cell=st.integers(0, 31), k_avg=st.integers(1, 2),
@@ -395,7 +404,7 @@ class TestFineSync:
         assert len(z) == 2 * fc.n_steps - 1
         assert (fc.n_steps - 1) * step <= t_corr  # the widest step any record picks
         assert abs(n_opt * step) <= t_corr
-        assert tau2 == tau1 + n_opt * step
+        assert tau2 == (tau1 + n_opt * step) % cfg.symbol_duration
 
 
 # A small scan that still reads several symbols past the coarse window.
@@ -508,24 +517,24 @@ class TestTwoFloorSync:
         r = make_received(cfg, da_bits(16 + 12), delta_tau)
         cc = CoarseConfig(search_step=cfg.frame_duration)
         fc = FineConfig(fine_step=0.1e-9)
-        est = two_floor_sync(r, cfg, cc, fc, 16, "da")
-        assert abs(est.tau2 - delta_tau) <= 0.1e-9 + 1e-15
+        tau1, _ = coarse_sync(r, cfg, cc, 16, "da")
+        tau2, _, _ = fine_sync(r, tau1, cfg, fc)
+        assert abs(tau2 - delta_tau) <= 0.1e-9 + 1e-15
         # the coarse estimate itself stays on the frame grid
-        assert est.tau1 / cc.search_step == pytest.approx(
-            round(est.tau1 / cc.search_step), abs=1e-9)
+        assert tau1 / cc.search_step == pytest.approx(
+            round(tau1 / cc.search_step), abs=1e-9)
 
     def test_scale_invariance_bit_exact(self, cfg):
         bits = list(np.random.default_rng(8).integers(0, 2, 20))
         r = make_received(cfg, bits, 333e-9, snr_db=10.0, noise_seed=9)
         cc = CoarseConfig()
         fc = FineConfig()
-        ref = two_floor_sync(r, cfg, cc, fc, 8, "nda")
+        tau1, _ = coarse_sync(r, cfg, cc, 8, "nda")
+        ref = fine_sync(r, tau1, cfg, fc)[:2]
         for c in (1e-3, 1e3):
             rc = SampledWaveform(r.samples * c, r.sample_rate)
-            est = two_floor_sync(rc, cfg, cc, fc, 8, "nda")
-            assert est.tau1 == ref.tau1
-            assert est.n_opt == ref.n_opt
-            assert est.tau2 == ref.tau2
+            assert coarse_sync(rc, cfg, cc, 8, "nda")[0] == tau1
+            assert fine_sync(rc, tau1, cfg, fc)[:2] == ref
 
     def test_outputs_in_range(self, cfg):
         rng = np.random.default_rng(4)
@@ -533,10 +542,11 @@ class TestTwoFloorSync:
             delta_tau = float(rng.uniform(0, cfg.symbol_duration))
             bits = list(rng.integers(0, 2, 20))
             r = make_received(cfg, bits, delta_tau, snr_db=8.0, noise_seed=trial)
-            est = two_floor_sync(r, cfg, CoarseConfig(), FineConfig(), 8, "nda")
-            assert 0.0 <= est.tau1 < cfg.symbol_duration
-            assert 0.0 <= est.tau2 < cfg.symbol_duration
-            assert abs(est.n_opt) * 0.25e-9 <= 560e-9
+            tau1, _ = coarse_sync(r, cfg, CoarseConfig(), 8, "nda")
+            tau2, n_opt, _ = fine_sync(r, tau1, cfg, FineConfig())
+            assert 0.0 <= tau1 < cfg.symbol_duration
+            assert 0.0 <= tau2 < cfg.symbol_duration
+            assert abs(n_opt) * 0.25e-9 <= 560e-9
 
     def test_record_start_symbol_does_not_matter(self, cfg):
         # Offsetting the record by a whole symbol leaves both floors'
@@ -547,10 +557,11 @@ class TestTwoFloorSync:
         r_shifted = SampledWaveform(r.samples[cfg.n_symbol_samples:], FS)
         cc = CoarseConfig()
         fc = FineConfig()
-        a = two_floor_sync(r, cfg, cc, fc, 16, "da")
-        b = two_floor_sync(r_shifted, cfg, cc, fc, 16, "da")
-        assert a.tau1 == b.tau1
-        assert a.tau2 == b.tau2
+        estimates = []
+        for rec in (r, r_shifted):
+            tau1, _ = coarse_sync(rec, cfg, cc, 16, "da")
+            estimates.append((tau1, fine_sync(rec, tau1, cfg, fc)[0]))
+        assert estimates[0] == estimates[1]
 
 
 class TestBuffers:
