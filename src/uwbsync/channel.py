@@ -287,10 +287,11 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, cfg: FrameConfig, *,
     same template sets the noise level.  The output window is the bits'
     own, [0, K * symbol_duration) for K bits: the template tails past it
     are cut.  Tap delays and the timing offset are rounded to the sample
-    grid.  The record is one array: the noise draw (zeros when noiseless),
-    with the templates added into it in place.  ``draw_threads`` (1 or 2)
-    is the number of threads that draw the noise; the record's bytes do
-    not depend on it.
+    grid.  The record is one array: the noise drawn from ``noise_seed``,
+    which a finite ``snr_db`` requires (zeros when noiseless), with the
+    templates added into it in place.  ``draw_threads`` (1 or 2) is the
+    number of threads that draw the noise; the record's bytes do not
+    depend on it.
     """
     if not isinstance(bits, SymbolSequence):
         raise TypeError(
@@ -300,6 +301,9 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, cfg: FrameConfig, *,
     t_s = cfg.symbol_duration
     if not 0 <= timing_offset < t_s:
         raise ValueError(f"timing_offset = {timing_offset!r} outside [0, {t_s!r})")
+    if snr_db != math.inf and noise_seed is None:
+        raise ValueError(f"snr_db = {snr_db!r} needs a noise_seed, or the record "
+                         "cannot be reproduced")
     fs = cfg.sample_rate
     n_sym = cfg.n_symbol_samples
     n_off = int(round(timing_offset * fs))

@@ -18,7 +18,6 @@ import numpy as np
 
 from .waveform import (
     _GRID_TOL,
-    TH_CODE_ATTEMPTS,
     ConfigError,
     FrameConfig,
     SymbolSequence,
@@ -107,19 +106,12 @@ class ExperimentPlan:
         if not 0 < self.channel_max_delay < math.inf:
             raise ConfigError(f"{self.channel_max_delay!r} s must be positive and "
                               "finite", field="channel_max_delay")
-        # Each trial redraws its hopping code until no pulse leaks out of
-        # its frame (draw_th_code), so a plan's own code would go unused;
-        # the alphabet must make running out of draws negligible.
+        # Each trial draws its own hopping code (draw_th_code), so a plan's
+        # own code would go unused.
         frame = self.frame_cfg
         if frame != replace(frame, th_code=None):
             raise ConfigError(f"th_code {frame.th_code}: every trial draws its "
                               "own hopping code", field="th_code")
-        p_fit = (frame.n_fitting_chips / frame.n_chips) ** frame.n_frames_per_symbol
-        if (1.0 - p_fit) ** TH_CODE_ATTEMPTS > 1e-12:
-            raise ConfigError(
-                f"{frame.n_chips} chips, of which only {frame.n_fitting_chips} "
-                f"keep a pulse inside its frame: a trial could fail to draw a "
-                f"hopping code in {TH_CODE_ATTEMPTS} attempts", field="n_chips")
         fine = self.fine_cfg
         self.coarse_cfg.grid_size(frame)
         # A step below one sample rescores the same offsets many times over.

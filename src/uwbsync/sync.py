@@ -209,8 +209,8 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     and itself two symbols later|, taken in short windows placed at the
     receiver's own frame/chip positions.  Ties resolve to the smallest
     |n|, negative first.  Offsets are rounded to the sample grid per
-    candidate.  Returns tau2 = (tau1 + n_opt*fine_step) mod T_s, n_opt and
-    the objective curve.
+    candidate.  Returns tau2 = (tau1 + n_opt*fine_step) mod T_s, in
+    [0, T_s), n_opt and the objective curve.
     """
     fs = cfg.sample_rate
     n_s = cfg.n_symbol_samples
@@ -255,5 +255,8 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     order = np.lexsort((offsets, np.abs(offsets)))
     n_opt = int(offsets[order[np.argmax(z[order])]])
     tau2 = (tau1 + n_opt * fc.fine_step) % cfg.symbol_duration
+    # A sum rounded a hair below 0 wraps to T_s itself, outside [0, T_s).
+    if tau2 == cfg.symbol_duration:
+        tau2 = 0.0
     return tau2, n_opt, z
 

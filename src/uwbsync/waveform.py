@@ -34,9 +34,6 @@ SHAPE_RATIO = 2.5
 
 _GRID_TOL = 1e-6
 
-# Draws of a hopping code before a trial gives up (see draw_th_code).
-TH_CODE_ATTEMPTS = 1000
-
 
 class ConfigError(ValueError):
     """A configuration value violates a constraint of the signal format.
@@ -218,15 +215,8 @@ def sampled_monocycle(pulse_duration: float,
 def draw_th_code(rng: np.random.Generator, cfg: FrameConfig) -> FrameConfig:
     """Copy of ``cfg`` with a hopping code drawn from ``rng``.
 
-    Chips are i.i.d. uniform on {0, ..., n_chips - 1}.  A code that would
-    push a pulse out of its frame is redrawn from the same stream, up to
-    TH_CODE_ATTEMPTS times, so the code is uniform over the fitting chips.
+    Chips are i.i.d. uniform on {0, ..., n_fitting_chips - 1}, the chips
+    that keep a PPM-shifted pulse inside its frame.
     """
-    for _ in range(TH_CODE_ATTEMPTS):
-        code = rng.integers(0, cfg.n_chips, size=cfg.n_frames_per_symbol)
-        try:
-            return replace(cfg, th_code=code)
-        except ConfigError:
-            continue
-    raise ConfigError(f"could not draw a valid TH code in {TH_CODE_ATTEMPTS} "
-                      "attempts", field="n_chips")
+    code = rng.integers(0, cfg.n_fitting_chips, size=cfg.n_frames_per_symbol)
+    return replace(cfg, th_code=code)

@@ -188,6 +188,11 @@ class TestPropagate:
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
+    def test_finite_snr_needs_a_noise_seed(self, cfg):
+        # Noise drawn from fresh OS entropy could never be drawn again.
+        with pytest.raises(ValueError, match="noise_seed"):
+            propagate(SymbolSequence([0]), single_path(), cfg, snr_db=10.0)
+
     def test_rejects_a_pulse_train(self, cfg):
         # The old calling form passed the transmit waveform; its length
         # must not be read as a number of symbols.

@@ -153,8 +153,6 @@ class TestConfig:
         ("[fine]\nfine_step_ns = 0.019", "fine_step_ns"),  # 0.95 samples
         ("[fine]\nn_symbols_avg = 0", "n_symbols_avg"),
         ("[fine]\nt_corr_ns = 1500", "t_corr_ns"),  # scan passes its one-symbol guard
-        ("[frame]\nn_chips = 39", "n_chips"),  # a code draw fits too rarely
-        ("[frame]\nn_chips = 45", "n_chips"),
         ("[sweep]\nm_grid = 8\nm_grid = 16", "m_grid"),  # repeated key
         ("[sweep]\nm_grid = 8\n[sweep]\nmodes = nda", "sweep"),  # repeated section
         ("m_grid = 8\n[sweep]", "m_grid"),  # key before any section header

@@ -27,6 +27,7 @@ from uwbsync import (
     wrapped_error,
 )
 from uwbsync import harness
+from uwbsync.cli import load_plan
 from uwbsync.harness import mse_records, run_trials, snr_label
 
 from oracles import run_python
@@ -138,14 +139,16 @@ class TestPlanGuards:
             ExperimentPlan(frame_cfg=FrameConfig(th_code=(3,) * 32))
         assert exc.value.field == "th_code"
 
-    def test_chip_alphabet_must_let_trials_draw_a_code(self):
-        # 34 of the chips fit a 35 ns frame.  At 38 chips all 1000 draws of
-        # a trial fail with probability 2.9e-13, at 39 with 3.8e-6.
-        for n_chips in (35, 36, 38):
-            ExperimentPlan(frame_cfg=FrameConfig(n_chips=n_chips))
-        with pytest.raises(ConfigError, match="1000 attempts") as exc:
-            ExperimentPlan(frame_cfg=FrameConfig(n_chips=39))
-        assert exc.value.field == "n_chips"
+    def test_chips_that_leak_are_never_drawn(self, tmp_path):
+        # 34 of 45 chips keep a PPM-shifted pulse inside a 35 ns frame.
+        path = tmp_path / "chips.cfg"
+        path.write_text("[frame]\nn_chips = 45\n")
+        plan = load_plan(path)
+        assert plan.frame_cfg.n_fitting_chips == 34
+        scene = harness.build_trial_scene(plan, 8.0, 8, "nda", 0, 0)
+        assert max(scene.cfg.th_code) < 34
+        res = run_trial(plan, 8.0, 8, "nda", 0, 0)
+        assert 0.0 <= res.tau_hat_fine < plan.frame_cfg.symbol_duration
 
 
 class TestRunTrial:

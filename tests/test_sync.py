@@ -13,6 +13,7 @@ from uwbsync import (
     CoarseConfig,
     ExperimentPlan,
     FineConfig,
+    FrameConfig,
     SampledWaveform,
     SymbolSequence,
     coarse_sync,
@@ -296,6 +297,20 @@ class TestFineSync:
         tau2, n_opt, z = fine_sync(r, tau1, cfg, fc)
         assert n_opt == 2
         assert tau2 == pytest.approx(delta_tau, rel=1e-12)
+
+    def test_tau2_stays_below_one_symbol(self):
+        # The peak lies 6 steps back from tau1 = 3 ns, at offset 0, where
+        # tau1 + n_opt * fine_step comes out at -4.1e-25 s: % alone wraps
+        # that to T_s.
+        cfg = FrameConfig(n_frames_per_symbol=1, frame_duration=4.4e-9,
+                          sample_rate=5e9, th_code=(0,))
+        fc = FineConfig(fine_step=0.5e-9, t_corr=3.5e-9)
+        tau1 = 15 * 0.2e-9
+        _, hi = fine_extent(cfg, fc, tau1)
+        r = make_received(cfg, da_bits(math.ceil(hi / cfg.n_symbol_samples)), 0.0)
+        tau2, n_opt, _ = fine_sync(r, tau1, cfg, fc)
+        assert n_opt == -6
+        assert tau2 == 0.0
 
     def test_brute_force_peak_oracle(self, cfg):
         # Independent check of the reported peak against a brute-force

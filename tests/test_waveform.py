@@ -118,9 +118,9 @@ class TestThCode:
         assert th_code(11) != th_code(12)
 
     def test_fixture_code_is_the_seed_0_draw(self):
-        assert FRAME.th_code == (29, 22, 17, 9, 10, 1, 2, 0, 6, 28, 22, 31, 17, 21,
-                                 33, 25, 22, 19, 19, 32, 9, 28, 23, 0, 13, 30, 19,
-                                 1, 26, 25, 29, 6)
+        assert FRAME.th_code == (28, 21, 17, 9, 10, 1, 2, 0, 5, 27, 22, 31, 17, 20,
+                                 33, 24, 21, 18, 19, 31, 9, 27, 22, 0, 13, 29, 18,
+                                 1, 26, 24, 28, 5)
 
     def test_trials_draw_through_draw_th_code(self):
         plan = ExperimentPlan(channel_model="single_path")
