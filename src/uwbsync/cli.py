@@ -216,9 +216,12 @@ def cmd_sweep(args) -> int:
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     print(_snr_definition_line(plan))
     n_groups = len(plan.groups())
+    workers = sweep_workers(plan, args.threads)
     print(f"running {n_groups} trial groups x {plan.trials_per_cell} trials "
-          f"({sweep_workers(plan, args.threads)} worker(s))...")
-    trials = run_trials(plan, n_workers=args.threads)
+          f"({workers} worker(s))...")
+    t0 = time.perf_counter()
+    trials = run_trials(plan, n_workers=workers)
+    sweep_wall_s = time.perf_counter() - t0
     csv_text = records_to_csv(mse_records(plan, trials))
     (out_dir / "results.csv").write_text(csv_text)
     manifest = plan_to_config_text(plan, run_info={
@@ -226,6 +229,9 @@ def cmd_sweep(args) -> int:
         "config_path": str(args.config),
         "started_utc": started,
         "results_csv": str(out_dir / "results.csv"),
+        "workers": workers,
+        "numpy_version": np.__version__,
+        "sweep_wall_s": f"{sweep_wall_s:.3f}",
     })
     (out_dir / "manifest.cfg").write_text(manifest)
     if args.dump_objectives:

@@ -235,37 +235,41 @@ def run_trial(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
                        (coarse, fine) if trial_index == 0 else None)
 
 
-def sweep_workers(plan: ExperimentPlan, n_workers: int) -> int:
-    """Processes :func:`run_trials` uses for ``n_workers``; 1 means serial.
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    A fork pool starts all its workers at once, so at most one per trial.
-    """
-    return max(1, min(n_workers, len(plan.groups()) * plan.trials_per_cell))
+
+def sweep_workers(plan: ExperimentPlan, n_workers: int) -> int:
+    """Threads :func:`run_trials` runs trials on when asked for
+    ``n_workers`` (1 means serially): never more than there are trials or
+    CPUs this process may use."""
+    return max(1, min(n_workers, len(plan.groups()) * plan.trials_per_cell, _cpus()))
 
 
 def run_trials(plan: ExperimentPlan, n_workers: int = 1) -> list[TrialResult]:
     """Every trial of the plan: trial t of group gi is element
     ``gi * trials_per_cell + t``.
 
-    Results are bit-identical for any worker count: substreams are keyed
-    by group and trial index.  Each worker draws a record's noise on two
-    threads when that leaves no more threads than CPUs this process may
-    use, else on one; the bytes are the same either way.
+    Trials run on :func:`sweep_workers` threads of this process; numpy
+    releases the GIL in every heavy stage of a trial.  Results are
+    bit-identical for any worker count: substreams are keyed by group and
+    trial index.  Each worker draws a record's noise on two threads when
+    that leaves no more threads than CPUs, else on one; the bytes are the
+    same either way.
     """
     workers = sweep_workers(plan, n_workers)
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    trial = partial(run_trial, plan, draw_threads=2 if 2 * workers <= cpus else 1)
+    trial = partial(run_trial, plan, draw_threads=2 if 2 * workers <= _cpus() else 1)
     columns = zip(*[(snr, m, mode, t, gi)
                     for gi, (snr, m, mode) in enumerate(plan.groups())
                     for t in range(plan.trials_per_cell)])
     if workers == 1:
         return list(map(trial, *columns))
-    # Imported here: it loads multiprocessing, which a serial run never uses.
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Imported here: it loads logging, which a serial run never uses.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(trial, *columns))
 
 

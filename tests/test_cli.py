@@ -11,13 +11,15 @@ import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from uwbsync import (ConfigError, CoarseConfig, ExperimentPlan, FineConfig,
                      FrameConfig)
 from uwbsync import harness
-from uwbsync.cli import _SCHEMA, load_plan, main, plan_to_config_text
+from uwbsync.cli import (_KEY_OF_FIELD, _SCHEMA, load_plan, main,
+                         plan_to_config_text)
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 # The CI workflow sweeps the same configs and checks the same SHA256SUMS.
@@ -244,6 +246,50 @@ def valid_plans(draw):
     )
 
 
+@st.composite
+def small_plan_fields(draw):
+    """Every config key drawn, valid or not, on small on-grid formats: M,
+    the averaging depth and the scans are capped so a trial takes
+    milliseconds."""
+    frame = draw(frame_configs())
+    fs = frame.sample_rate
+    n_s = frame.n_symbol_samples
+    # Mostly steps that divide the symbol, so that most plans load.
+    divisors = [n for n in range(1, n_s + 1) if n_s % n == 0]
+    snr = st.sampled_from([math.inf, 300.0, -300.0]) | st.floats(-60.0, 60.0)
+    return dict(
+        snr_grid_db=draw(st.lists(snr, min_size=1, max_size=2, unique=True)),
+        m_grid=draw(st.lists(st.integers(1, 8), min_size=1, max_size=2, unique=True)),
+        modes=draw(st.lists(st.sampled_from(["nda", "da"]), min_size=1, max_size=2,
+                            unique=True)),
+        base_seed=draw(st.integers(0, 2**64)),
+        frame_cfg=frame,
+        coarse_cfg=CoarseConfig(search_step=draw(
+            st.sampled_from(divisors) | st.integers(1, n_s)) / fs),
+        fine_cfg=FineConfig(t_corr=draw(st.floats(0.0, 2.5 * frame.symbol_duration)),
+                            fine_step=draw(st.floats(0.5, 50.0)) / fs,
+                            n_symbols_avg=draw(st.integers(1, 8))),
+        channel_model=draw(st.sampled_from(["cm1", "single_path"])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(kwargs=small_plan_fields())
+def test_every_plan_that_loads_also_runs(kwargs):
+    # A plan is refused by a key's name, or trial 0 of each of its groups
+    # runs and estimates within one symbol.
+    try:
+        plan = ExperimentPlan(trials_per_cell=1, **kwargs)
+    except ConfigError as exc:
+        assert exc.field in _KEY_OF_FIELD
+        return
+    t_s = plan.frame_cfg.symbol_duration
+    for gi, (snr, m, mode) in enumerate(plan.groups()):
+        res = harness.run_trial(plan, snr, m, mode, 0, gi)
+        assert 0.0 <= res.tau_hat_coarse < t_s
+        assert 0.0 <= res.tau_hat_fine < t_s
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(plan=valid_plans(), env_seed=st.integers(0, 2**64))
 def test_manifest_reloads_any_plan_exactly(plan, env_seed, tmp_path, monkeypatch):
@@ -302,7 +348,8 @@ class TestSweepCommand:
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
         assert main(["sweep", str(tiny_config), "--out", str(out1)]) == 0
-        assert main(["sweep", str(tiny_config), "--out", str(out2)]) == 0
+        assert main(["sweep", str(tiny_config), "--threads", "2",
+                     "--out", str(out2)]) == 0
         csv1 = (out1 / "results.csv").read_bytes()
         csv2 = (out2 / "results.csv").read_bytes()
         assert csv1 == csv2
@@ -310,10 +357,20 @@ class TestSweepCommand:
         assert len(lines) == 1 + 2 * 1 * 1 * 2  # header + snr*m*mode*floor
         plan = load_plan(tiny_config)
         assert load_plan(out1 / "manifest.cfg") == plan
+        # The manifest says how the run went, and replays it byte for byte.
+        manifest = configparser.ConfigParser()
+        manifest.read(out2 / "manifest.cfg")
+        run_info = manifest["run_info"]
+        assert int(run_info["workers"]) == harness.sweep_workers(plan, 2)
+        assert run_info["numpy_version"] == np.__version__
+        assert float(run_info["sweep_wall_s"]) > 0
+        replay = tmp_path / "replay"
+        assert main(["sweep", str(out2 / "manifest.cfg"), "--out", str(replay)]) == 0
+        assert (replay / "results.csv").read_bytes() == csv2
 
     def test_reports_the_workers_it_uses(self, tmp_path, capsys):
         # One trial runs serially whatever --threads asks for, so this
-        # starts no process.
+        # starts no pool.
         path = tmp_path / "one_group.cfg"
         path.write_text(TINY_CONFIG.replace("inf, 10", "inf")
                         .replace("trials_per_cell = 2", "trials_per_cell = 1"))

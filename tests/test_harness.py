@@ -1,9 +1,10 @@
 """Monte-Carlo harness: error metric, trial seeding, sweep aggregation."""
 
-import concurrent.futures
 import importlib.util
 import math
 import os
+import sys
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -24,38 +25,16 @@ from uwbsync import (
     records_to_csv,
     run_sweep,
     run_trial,
+    sampled_monocycle,
     wrapped_error,
 )
 from uwbsync import harness
 from uwbsync.cli import load_plan
-from uwbsync.harness import mse_records, run_trials, snr_label
+from uwbsync.harness import mse_records, run_trials, snr_label, sweep_workers
 
 from oracles import run_python
 
 TS = 1120e-9
-
-
-@pytest.fixture()
-def inline_pool(monkeypatch):
-    """Runs a sweep's pool tasks in this process; lists the pool sizes asked for."""
-    started = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    # run_trials imports the pool class when it starts one.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return started
 
 
 @pytest.fixture()
@@ -69,6 +48,19 @@ def draw_threads_seen(monkeypatch):
         return propagate(*args, **kwargs)
 
     monkeypatch.setattr(harness, "propagate", spy)
+    return seen
+
+
+@pytest.fixture()
+def trial_threads(monkeypatch):
+    """Lists the thread that runs each trial of a sweep."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return run_trial(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", spy)
     return seen
 
 
@@ -267,7 +259,9 @@ class TestRunSweep:
             (16.0, 8, "da", "coarse_only"), (16.0, 8, "da", "coarse_plus_fine"),
         ]
 
-    def test_reproducible_across_worker_counts(self):
+    def test_reproducible_across_worker_counts(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
         plan = ExperimentPlan(
             snr_grid_db=(10.0,), m_grid=(8,), modes=("nda", "da"),
             trials_per_cell=4,
@@ -281,33 +275,72 @@ class TestRunSweep:
         for workers in (2, 3):
             assert records_to_csv(run_sweep(one_group, n_workers=workers)) == serial
 
-    def test_pool_starts_at_most_one_worker_per_trial(self, inline_pool):
+    def test_pooled_trials_equal_serial_ones_curves_included(self, monkeypatch):
+        # Three threads switching often start on an empty pulse cache: what
+        # they share is read-only, so the bytes cannot depend on the timing.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        plan = ExperimentPlan(snr_grid_db=(8.0,), m_grid=(8,), modes=("nda", "da"),
+                              trials_per_cell=3)
+        serial = run_trials(plan, 1)
+        sampled_monocycle.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_trials(plan, 3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == serial
+        for gi in range(2):
+            for a, b in zip(pooled[3 * gi].objectives, serial[3 * gi].objectives):
+                assert np.array_equal(a, b)
+
+    def test_never_more_workers_than_cpus(self, monkeypatch, trial_threads):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        plan = ExperimentPlan(snr_grid_db=(8.0,), m_grid=(8,), modes=("nda",),
+                              trials_per_cell=500)
+        assert sweep_workers(plan, 500) == 2
+        few = replace(plan, trials_per_cell=4, channel_model="single_path")
+        run_trials(few, 500)
+        assert len(trial_threads) == 4
+        assert len(set(trial_threads)) <= 2
+
+    def test_pool_starts_at_most_one_worker_per_trial(self, monkeypatch, trial_threads):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
         plan = ExperimentPlan(snr_grid_db=(10.0,), m_grid=(8,), modes=("nda",),
                               trials_per_cell=3, channel_model="single_path")
+        assert sweep_workers(plan, 500) == 3
         pooled = records_to_csv(run_sweep(plan, n_workers=500))
-        assert inline_pool == [3]
+        # Every trial ran on a pool thread.
+        assert len(trial_threads) == 3
+        assert threading.get_ident() not in trial_threads
         assert pooled == records_to_csv(run_sweep(plan, n_workers=1))
 
     def test_a_serial_sweep_loads_no_process_pool(self):
-        # run_trials imports the pool only to start one, so a one-worker
-        # run leaves multiprocessing unloaded.
+        # A serial run starts no pool, and a pooled one runs on threads:
+        # neither loads multiprocessing or starts a child process.
         cfg = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
         code = (
-            "import sys\n"
+            "import os, resource, sys\n"
             "from dataclasses import replace\n"
             "from uwbsync.cli import load_plan\n"
             "from uwbsync.harness import run_trials\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             f"plan = load_plan({str(cfg)!r})\n"
-            "run_trials(replace(plan, snr_grid_db=(8.0,), m_grid=(8,),\n"
-            "                   modes=('nda',), trials_per_cell=1), 1)\n"
-            "print('multiprocessing' in sys.modules)\n")
-        assert run_python(code) == "False"
+            "plan = replace(plan, snr_grid_db=(8.0,), m_grid=(8,), modes=('nda',),\n"
+            "               trials_per_cell=2)\n"
+            "run_trials(replace(plan, trials_per_cell=1), 1)\n"
+            "print('multiprocessing' in sys.modules)\n"
+            "run_trials(plan, 2)\n"
+            "print('multiprocessing' in sys.modules,\n"
+            "      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        assert run_python(code).splitlines() == ["False", "False 0"]
 
     @pytest.mark.parametrize("workers, cpus, draw_threads",
                              [(1, 1, 1), (1, 2, 2), (2, 3, 1), (2, 4, 2)])
     def test_noise_is_drawn_on_two_threads_only_where_cpus_are_idle(
-            self, monkeypatch, inline_pool, draw_threads_seen, workers, cpus,
-            draw_threads):
+            self, monkeypatch, draw_threads_seen, workers, cpus, draw_threads):
         plan = ExperimentPlan(snr_grid_db=(8.0,), m_grid=(8,), modes=("nda",),
                               trials_per_cell=2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
