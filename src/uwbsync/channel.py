@@ -186,10 +186,13 @@ def aggregate_template(ch: ChannelRealization, cfg: FrameConfig) -> SampledWavef
     pulse = sampled_monocycle(cfg.pulse_duration, cfg.sample_rate)
     pos = (cfg.frame_start_samples()[:, None] + np.arange(len(pulse))).ravel()
     values = np.tile(pulse, cfg.n_frames_per_symbol)
-    idx = [int(round(d * cfg.sample_rate)) for d in ch.delays]
-    out = np.zeros(cfg.n_symbol_samples + max(idx))
-    for g, i in zip(ch.gains, idx):
-        out[pos + i] += g * values
+    idx = np.array([int(round(d * cfg.sample_rate)) for d in ch.delays])
+    out = np.zeros(cfg.n_symbol_samples + int(idx.max()))
+    # One unbuffered add, taps in order: each sample sums its taps in the
+    # order a per-tap loop would, but in one numpy call, not a few per tap,
+    # so a trial on a sweep thread gives up and retakes the GIL less often.
+    np.add.at(out, (idx[:, None] + pos).ravel(),
+              (np.asarray(ch.gains)[:, None] * values).ravel())
     return SampledWaveform(out, cfg.sample_rate)
 
 

@@ -389,19 +389,23 @@ class TestAggregateTemplate:
         expected = cfg.n_frames_per_symbol
         assert mean == pytest.approx(expected, rel=0.1)
 
-    def test_two_tap_superposition(self, cfg):
-        # Direct superposition oracle: two taps = scaled sum of two
-        # shifted copies of the single-path template, sample-exact.
+    @pytest.mark.parametrize("taps", ["two", "cm1", "coinciding"])
+    def test_taps_superpose_sample_exact(self, cfg, taps):
+        # Direct superposition oracle: one scaled, shifted copy of the
+        # single-path template per tap, added in tap order (taps on one
+        # sample included), equal to the last bit.
         g = 1.0 / math.sqrt(2.0)
-        d = 2 * cfg.frame_duration
-        ch = ChannelRealization((g, g), (0.0, d))
+        ch = {"two": ChannelRealization((g, g), (0.0, 2 * cfg.frame_duration)),
+              "cm1": generate_cm1(3),
+              "coinciding": ChannelRealization((0.6, 0.48, -0.64),
+                                               (0.0, 3e-9, 3e-9))}[taps]
         t = aggregate_template(ch, cfg)
-        base = aggregate_template(single_path(), cfg)
-        n = int(round(d * cfg.sample_rate))
-        expected = np.zeros(len(base.samples) + n)
-        expected[:len(base.samples)] += g * base.samples
-        expected[n:] += g * base.samples
-        assert np.array_equal(t.samples, expected)
+        base = aggregate_template(single_path(), cfg).samples
+        idx = [int(round(d * cfg.sample_rate)) for d in ch.delays]
+        expected = np.zeros(len(base) + max(idx))
+        for gain, n in zip(ch.gains, idx):
+            expected[n:n + len(base)] += gain * base
+        assert t.samples.tobytes() == expected.tobytes()
 
     def test_many_taps_match_direct_convolution(self, cfg):
         # Oracle: np.convolve of the one-symbol train with the tap kernel
