@@ -121,14 +121,11 @@ def _render(unit: str, value) -> str:
     return render(value)
 
 
-def _whole_number_arg(minimum: int):
-    """argparse type for a count flag: a whole number >= ``minimum``."""
-    def parse(token: str) -> int:
-        if not token.isdecimal() or int(token) < minimum:
-            raise argparse.ArgumentTypeError(
-                f"expected a whole number >= {minimum}, got {token!r}")
-        return int(token)
-    return parse
+def _count_arg(token: str) -> int:
+    """argparse type for a count flag: a whole number >= 1."""
+    if not token.isdecimal() or int(token) < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {token!r}")
+    return int(token)
 
 
 def load_plan(path) -> ExperimentPlan:
@@ -279,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a Monte-Carlo sweep from a config file")
     p_sweep.add_argument("config", help="config file (key-value text)")
     p_sweep.add_argument("--out", default="out", help="output directory")
-    p_sweep.add_argument("--threads", type=_whole_number_arg(1), default=1,
+    p_sweep.add_argument("--threads", type=_count_arg, default=1,
                          help="parallel trial workers")
     p_sweep.add_argument("--dump-objectives", action="store_true",
                          help="per cell, write trial 0's objective curves and "

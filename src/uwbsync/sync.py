@@ -11,9 +11,11 @@ Floor two refines the coarse estimate on a sub-chip grid around it.  It
 slides the receiver's own frame pattern across [tau1 - t_corr,
 tau1 + t_corr] and, at each step, correlates short pulse-pair windows of
 the waveform against itself two symbols later (the period of the training
-pattern, and the smallest symbol lag whose product is immune to the PPM
-bit shifts).  Its peak is pulse-sharp, which is what lets it repair both
-the coarse grid quantization and adjacent-frame coarse misses.
+pattern, so each DA pair carries one bit twice; an NDA pair whose bits
+differ scores 0 when the PPM shift is wider than the pulse).  Its peak
+is pulse-sharp, which is what lets it remove the coarse grid
+quantization.  On the default grid it clearly lowers the MSE only at 12
+and 16 dB, and it raises it at 8 dB M=32 DA (the README names the cells).
 
 Both floors report their offset in [0, T_s), as the estimators see the
 timing offset modulo one symbol.  Each also returns its objective curve,
@@ -97,12 +99,6 @@ def training_pattern(k: int) -> int:
     return (k + 1) % 2
 
 
-def _pattern_signs(m: int) -> np.ndarray:
-    """Known-pattern correlation signs s(k) - s(k+1) for k = 0..m-1."""
-    k = np.arange(m)
-    return np.where(k % 2 == 0, 1.0, -1.0)
-
-
 def coarse_extent(cfg: FrameConfig, cc: CoarseConfig, m: int) -> int:
     """Samples the coarse floor reads from the record start at M = ``m``:
     up to the end of the last candidate's (M+1)-th segment, the first at n_s."""
@@ -142,11 +138,12 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig, cc: CoarseConfig,
 
     For each candidate tau the statistic averages M = ``m`` adjacent-segment
     correlations; ``mode`` "nda" squares each term (mean of squares), "da"
-    applies the known training-pattern signs before averaging (square of
-    mean).  The transmitted pattern alternates, so consecutive correlations
-    flip sign; folding the known signs in is what makes the DA average
-    accumulate coherently.  Returns the argmax (ties -> smallest tau) and
-    the full objective curve.
+    weights each by its known sign before averaging (square of mean).
+    Correlation k pairs symbols k+1 and k+2, as the first segment starts at
+    n_s, so its sign is ``training_pattern(k + 1) - training_pattern(k + 2)``;
+    folding the signs in is what makes the DA average accumulate
+    coherently.  Returns the argmax (ties -> smallest tau) and the full
+    objective curve.
     """
     if m < 1:
         raise ValueError(f"M = {m} must be >= 1")
@@ -191,7 +188,8 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig, cc: CoarseConfig,
     if mode == "nda":
         objective = np.mean(corr ** 2, axis=1)
     else:
-        signs = _pattern_signs(m)
+        signs = np.array([training_pattern(k + 1) - training_pattern(k + 2)
+                          for k in range(m)], dtype=float)
         objective = np.mean(signs[None, :] * corr, axis=1) ** 2
 
     best = int(np.argmax(objective))  # first max == smallest tau on ties

@@ -23,6 +23,7 @@ from uwbsync import (
     training_pattern,
     wrapped_error,
 )
+from uwbsync import sync
 from uwbsync.harness import build_trial_scene, run_trials
 from uwbsync.sync import coarse_extent, fine_extent
 
@@ -172,6 +173,7 @@ class TestCoarseSync:
         # two sum the same products in different orders, so they agree to
         # 1e-10 of the cell's mean squared correlation (the NDA objective,
         # which bounds the DA one from above); the worst seen was 4.4e-13.
+        # Correlation k spans symbols k+1 and k+2, whose bits give its sign.
         cfg = replace(cfg, th_code=code)
         r = make_received(cfg, da_bits(m + 3), delta_tau, snr_db, noise_seed)
         cc = CoarseConfig()
@@ -179,7 +181,7 @@ class TestCoarseSync:
         tau = cfg.symbol_duration + cell * cc.search_step
         xs = np.array([dirty_correlation(r, k, tau, cfg) for k in range(m)])
         scale = float(np.mean(xs ** 2))
-        signs = [training_pattern(k) - training_pattern(k + 1) for k in range(m)]
+        signs = [training_pattern(k + 1) - training_pattern(k + 2) for k in range(m)]
         expected = scale if mode == "nda" else float(np.mean(signs * xs)) ** 2
         assert abs(objective[cell] - expected) <= 1e-10 * scale
 
@@ -225,6 +227,22 @@ class TestCoarseSync:
             far_best = objective[dist > cfg.frame_duration].max()
             hits += near_best > far_best
         assert hits == n_seeds
+
+    def test_da_signs_follow_the_training_pattern(self, cfg, monkeypatch):
+        # A non-alternating training sequence, transmitted as is: correlation
+        # k spans symbols k+1 and k+2, so its sign must come from their bits.
+        # The alternating signs, or signs one symbol early, miss here.
+        pattern = (1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 1)
+        monkeypatch.setattr(sync, "training_pattern", lambda k: pattern[k])
+        cc = CoarseConfig()
+        m = 8
+        bits = list(pattern[:-(-coarse_extent(cfg, cc, m) // cfg.n_symbol_samples)])
+        rng = np.random.default_rng(29)
+        for _ in range(8):
+            delta_tau = float(rng.uniform(0, cfg.symbol_duration))
+            tau1, _ = coarse_sync(make_received(cfg, bits, delta_tau), cfg, cc, m, "da")
+            err = abs(wrapped_error(tau1, delta_tau, cfg.symbol_duration))
+            assert err <= cc.search_step
 
     def test_noise_only_argmax_spreads_over_grid(self, cfg):
         # Null case: no signal at all; the argmax must not favor any cell.
@@ -381,6 +399,22 @@ class TestFineSync:
         assert z[mid] == 0.0
         assert z[mid - 1] == z[mid + 1] == z.max() > 0.0
         assert n_opt == -1
+
+    def test_differing_bits_two_symbols_on_blind_the_true_step(self, cfg):
+        # The lag product pairs each symbol with the one two symbols on.
+        # From symbol 1 on the bits have period 0,0,1,1, so every averaged
+        # pair (symbols j and j+2, j = 1..8) differs, its pulses miss each
+        # other by the PPM shift (wider than the pulse) and the true step
+        # scores exactly 0.  Symbol 0 equals symbol 2, so steps reaching
+        # back into it score more, and the scan leaves an exact coarse
+        # pick.  Random NDA bits do this in 1 trial in 2^8.
+        fc = FineConfig()
+        delta_tau = 12 * 35e-9
+        bits = [1, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1]
+        tau2, n_opt, z = fine_sync(make_received(cfg, bits, delta_tau), delta_tau,
+                                   cfg, fc)
+        assert z[fc.n_steps - 1] == 0.0 < z.max()
+        assert n_opt != 0 and tau2 != delta_tau
 
     def test_zero_scan_width_is_identity(self, cfg):
         r = make_received(cfg, da_bits(14), 40e-9)
