@@ -310,17 +310,18 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, cfg: FrameConfig, *,
     fs = cfg.sample_rate
     n_sym = cfg.n_symbol_samples
     n_off = int(round(timing_offset * fs))
-    template = aggregate_template(ch, cfg).samples
     n = len(bits) * n_sym
-    if snr_db == math.inf:
-        out = np.zeros(n)
-    else:
+    # The record is allocated first, so it can reuse the heap space the
+    # last trial's record freed before the smaller arrays take any of it.
+    noisy = snr_db != math.inf
+    out = _standard_normal(noise_seed, n, draw_threads) if noisy else np.zeros(n)
+    template = aggregate_template(ch, cfg).samples
+    if noisy:
         # np.sum, not np.dot: a BLAS dot this long runs threaded, and its
         # rounding (so the record) then depends on the BLAS thread count.
         head = template[:n_sym]
         sigma = noise_std(float(np.sum(head * head)), snr_db, snr_ref_samples(cfg))
         # The same noise as normal(0, sigma), which draws 0.0 + sigma * z.
-        out = _standard_normal(noise_seed, n, draw_threads)
         out *= sigma
 
     # The PPM shift is shorter than a symbol, so template starts rise with

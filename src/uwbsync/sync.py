@@ -198,7 +198,8 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig, cc: CoarseConfig,
 
 
 def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
-              fc: FineConfig) -> tuple[float, int, np.ndarray]:
+              fc: FineConfig, *, overwrite: bool = False
+              ) -> tuple[float, int, np.ndarray]:
     """Sub-chip refinement scan around the coarse estimate.
 
     Candidate offsets are tau1 + n*fine_step for n in [-N+1, N-1],
@@ -209,6 +210,12 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     |n|, negative first.  Offsets are rounded to the sample grid per
     candidate.  Returns tau2 = (tau1 + n_opt*fine_step) mod T_s, in
     [0, T_s), n_opt and the objective curve.
+
+    The lagged products, their running sum and the window sums are
+    computed in place in one array: a copy of the record's first hi
+    samples (hi from :func:`fine_extent`), or, with ``overwrite``, the
+    record itself, whose first hi - 2 n_s samples it then clobbers.  The
+    result is the same to the bit either way.
     """
     fs = cfg.sample_rate
     n_s = cfg.n_symbol_samples
@@ -227,25 +234,32 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     lag = 2 * n_s
     window = cfg.n_pulse_samples + cfg.n_shift_samples
     frame_pos = cfg.frame_start_samples()
-    # Lagged products and their prefix sum up to the last window end read,
-    # then the window sums written over it: csum[j + window] -= csum[j],
-    # one symbol-long block at a time from the top, so no block is read
-    # after it is overwritten.  w[j] is the sum of the window starting at j.
-    csum = np.empty(hi - lag + 1)
-    csum[0] = 0.0
-    np.multiply(x[:hi - lag], x[lag:hi], out=csum[1:])
-    np.cumsum(csum[1:], out=csum[1:])
-    w = csum[window:]
-    for top in range(len(w), 0, -n_s):
-        a = max(0, top - n_s)
-        np.subtract(w[a:top], csum[a:top], out=w[a:top])
+    # The scan computes in x[:n], n = hi - lag, in place.  The lagged
+    # products x[i] * x[i + lag] go over x[i] from the bottom, in blocks no
+    # longer than the lag: a block's second factor lies above what it
+    # writes, so numpy makes no temporary, and no block reads a product.
+    # Then the running sum: x[i] is the sum of the products 0..i.  The
+    # window sums go over it from the top, one symbol-long block at a time:
+    # the window starting at j ends at j + window - 1, so
+    # w[j] = x[j + window - 1] - x[j - 1], less nothing at j = 0, and no
+    # block reads a sum that a higher block overwrote.
+    x = x[:hi] if overwrite else x[:hi].copy()
+    n = hi - lag
+    for a in range(0, n, lag):
+        b = min(n, a + lag)
+        np.multiply(x[a:b], x[a + lag:b + lag], out=x[a:b])
+    np.cumsum(x[:n], out=x[:n])
+    w = x[window - 1:n]
+    for top in range(len(w), 1, -n_s):
+        a = max(1, top - n_s)
+        np.subtract(w[a:top], x[a - 1:top - 1], out=w[a:top])
     # One (candidate, frame) index of window starts serves every symbol:
     # symbol k reads it k symbols on, so each gather covers about one
     # symbol of w.  sums[c, k] is candidate c's frame sum in symbol k.
     idx = (base + off_samples)[:, None] + frame_pos[None, :]
     sums = np.empty((len(offsets), k_avg))
     for k in range(k_avg):
-        np.sum(np.take(w[k * n_s:], idx), axis=1, out=sums[:, k])
+        np.sum(w[k * n_s:][idx], axis=1, out=sums[:, k])
     z = np.sum(np.abs(sums), axis=1) / fs
 
     # Tie order: smallest |n| first, negative first.  np.argmax keeps the

@@ -614,20 +614,25 @@ class TestTwoFloorSync:
 
 
 class TestBuffers:
-    def test_floors_write_every_buffer_entry_they_read(self, cfg, monkeypatch):
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_floors_write_every_buffer_entry_they_read(self, cfg, monkeypatch,
+                                                       overwrite):
         # np.empty may hand back used memory, so NaN-filled buffers must
         # change no bit.  With the all-zero code and a fine scan half a step
         # wider than a symbol, the first window at tau1 = 0 starts at sample
-        # 0 and reads the prefix sum's leading zero.
+        # 0: its sum is the running sum's first window end, less nothing.
+        # With overwrite the fine floor computes in a fresh copy each time.
         cfg = replace(cfg, th_code=[0] * cfg.n_frames_per_symbol)
         bits = list(np.random.default_rng(5).integers(0, 2, 20))
         r = make_received(cfg, bits, 500e-9, snr_db=10.0, noise_seed=3)
         step = cfg.symbol_duration / 1120
         fc = FineConfig(t_corr=1120.5 * step, fine_step=step, n_symbols_avg=2)
+        assert fine_extent(cfg, fc, 0.0)[0] == 0
 
         def floors():
             _, coarse = coarse_sync(r, cfg, CoarseConfig(), 8, "nda")
-            _, _, fine = fine_sync(r, 0.0, cfg, fc)
+            fine_r = SampledWaveform(r.samples.copy(), FS) if overwrite else r
+            _, _, fine = fine_sync(fine_r, 0.0, cfg, fc, overwrite=overwrite)
             return coarse.tobytes(), fine.tobytes()
         expected = floors()
         empty = np.empty
@@ -639,9 +644,11 @@ class TestBuffers:
         monkeypatch.setattr(np, "empty", nan_filled)
         assert floors() == expected
 
-    def test_fine_scan_keeps_one_prefix_sum_sized_array(self):
-        # The window sums are written over the prefix sum, so the scan's
-        # traced peak stays well under two prefix sums.
+    @pytest.mark.parametrize("overwrite, bound", [(False, 2), (True, 1)])
+    def test_fine_scan_keeps_one_prefix_sum_sized_array(self, overwrite, bound):
+        # The scan computes in place in one array: a copy of the samples it
+        # reads, so its traced peak stays well under two prefix sums, or,
+        # with overwrite, the record itself, under one.
         plan = ExperimentPlan()
         scene = build_trial_scene(plan, 8.0, 32, "nda", 0, 0)
         tau1, _ = coarse_sync(scene.received, scene.cfg, plan.coarse_cfg, 32, "nda")
@@ -651,11 +658,48 @@ class TestBuffers:
         try:
             start, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            fine_sync(scene.received, tau1, scene.cfg, plan.fine_cfg)
+            fine_sync(scene.received, tau1, scene.cfg, plan.fine_cfg,
+                      overwrite=overwrite)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start < 2 * csum_bytes
+        assert peak - start < bound * csum_bytes
+
+    @pytest.mark.parametrize("model, snr_db, m, mode", [
+        ("cm1", 8.0, 8, "nda"), ("cm1", 8.0, 8, "da"),
+        ("cm1", 8.0, 32, "nda"), ("cm1", 8.0, 32, "da"),
+        ("single_path", math.inf, 8, "nda"),
+    ])
+    @pytest.mark.parametrize("start", ["coarse_pick", "first_window", "last_cell"])
+    def test_overwrite_changes_nothing_but_memory(self, model, snr_db, m, mode,
+                                                  start):
+        # The default leaves the record as it was and matches the cube
+        # oracle; overwrite returns the same bits and clobbers only the
+        # record's first hi - 2 n_s samples.
+        plan = ExperimentPlan(channel_model=model)
+        scene = build_trial_scene(plan, snr_db, m, mode, 0, 0)
+        cfg, fc, r = scene.cfg, plan.fine_cfg, scene.received
+        if start == "coarse_pick":
+            tau1, _ = coarse_sync(r, cfg, plan.coarse_cfg, m, mode)
+        elif start == "first_window":
+            # The all-zero code and a scan one symbol back read window 0.
+            cfg = replace(cfg, th_code=[0] * cfg.n_frames_per_symbol)
+            step = cfg.symbol_duration / 1120
+            fc = FineConfig(t_corr=1120.5 * step, fine_step=step, n_symbols_avg=2)
+            tau1 = 0.0
+            assert fine_extent(cfg, fc, tau1)[0] == 0
+        else:
+            tau1 = (plan.coarse_cfg.grid_size(cfg) - 1) * plan.coarse_cfg.search_step
+        before = r.samples.tobytes()
+        tau2, n_opt, z = fine_sync(r, tau1, cfg, fc)
+        assert r.samples.tobytes() == before
+        assert z.tobytes() == fine_objective_cube(r, tau1, cfg, fc).tobytes()
+
+        clobbered = SampledWaveform(r.samples.copy(), FS)
+        tau2_o, n_opt_o, z_o = fine_sync(clobbered, tau1, cfg, fc, overwrite=True)
+        assert (tau2_o, n_opt_o, z_o.tobytes()) == (tau2, n_opt, z.tobytes())
+        kept = fine_extent(cfg, fc, tau1)[1] - 2 * cfg.n_symbol_samples
+        assert clobbered.samples[kept:].tobytes() == r.samples[kept:].tobytes()
 
 
 class TestModeContrast:
