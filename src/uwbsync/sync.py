@@ -234,15 +234,13 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     lag = 2 * n_s
     window = cfg.n_pulse_samples + cfg.n_shift_samples
     frame_pos = cfg.frame_start_samples()
-    # The scan computes in x[:n], n = hi - lag, in place.  The lagged
-    # products x[i] * x[i + lag] go over x[i] from the bottom, in blocks no
-    # longer than the lag: a block's second factor lies above what it
-    # writes, so numpy makes no temporary, and no block reads a product.
-    # Then the running sum: x[i] is the sum of the products 0..i.  The
-    # window sums go over it from the top, one symbol-long block at a time:
-    # the window starting at j ends at j + window - 1, so
-    # w[j] = x[j + window - 1] - x[j - 1], less nothing at j = 0, and no
-    # block reads a sum that a higher block overwrote.
+    # In place in x[:n], n = hi - lag: the lagged products x[i] * x[i + lag]
+    # over x[i], bottom up in blocks no longer than the lag (a block's second
+    # factor lies above what it writes, so numpy makes no temporary); then
+    # their running sum; then the window sums from the top, one symbol at a
+    # time, so no block reads a sum that a higher block overwrote.  The
+    # window at j ends at j + window - 1: w[j] = x[j + window - 1] - x[j - 1],
+    # less nothing at j = 0.
     x = x[:hi] if overwrite else x[:hi].copy()
     n = hi - lag
     for a in range(0, n, lag):
