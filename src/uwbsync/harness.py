@@ -230,10 +230,8 @@ def run_trial(plan: ExperimentPlan, snr_db: float, m: int, mode: str,
                               draw_threads=draw_threads)
     # Through the module, so that a tracer replacing its floors sees them.
     tau1, coarse = sync.coarse_sync(scene.received, scene.cfg, plan.coarse_cfg, m, mode)
-    # The record is not read after the fine floor, so that floor may compute
-    # in it: the trial then allocates no second record-sized array.
-    tau2, _, fine = sync.fine_sync(scene.received, tau1, scene.cfg, plan.fine_cfg,
-                                   overwrite=True)
+    # The fine floor computes in the record, which nothing reads after it.
+    tau2, _, fine = sync.fine_sync(scene.received, tau1, scene.cfg, plan.fine_cfg)
     return TrialResult(tau1, tau2, scene.delta_tau,
                        (coarse, fine) if trial_index == 0 else None)
 

@@ -198,8 +198,7 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig, cc: CoarseConfig,
 
 
 def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
-              fc: FineConfig, *, overwrite: bool = False
-              ) -> tuple[float, int, np.ndarray]:
+              fc: FineConfig) -> tuple[float, int, np.ndarray]:
     """Sub-chip refinement scan around the coarse estimate.
 
     Candidate offsets are tau1 + n*fine_step for n in [-N+1, N-1],
@@ -212,10 +211,9 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     [0, T_s), n_opt and the objective curve.
 
     The lagged products, their running sum and the window sums are
-    computed in place in one array: a copy of the record's first hi
-    samples (hi from :func:`fine_extent`), or, with ``overwrite``, the
-    record itself, whose first hi - 2 n_s samples it then clobbers.  The
-    result is the same to the bit either way.
+    computed in place in the record's first hi samples (hi from
+    :func:`fine_extent`): the call clobbers ``r.samples[:hi - 2 n_s]``.
+    A caller that reads the record afterwards passes a copy.
     """
     fs = cfg.sample_rate
     n_s = cfg.n_symbol_samples
@@ -241,7 +239,6 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     # time, so no block reads a sum that a higher block overwrote.  The
     # window at j ends at j + window - 1: w[j] = x[j + window - 1] - x[j - 1],
     # less nothing at j = 0.
-    x = x[:hi] if overwrite else x[:hi].copy()
     n = hi - lag
     for a in range(0, n, lag):
         b = min(n, a + lag)

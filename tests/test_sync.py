@@ -338,8 +338,8 @@ class TestFineSync:
         delta_tau = 63.5e-9
         r = make_received(cfg, da_bits(12), delta_tau, snr_db=20.0, noise_seed=3)
         tau1 = 63e-9
-        tau2, n_opt, z = fine_sync(r, tau1, cfg, fc)
         oracle = fine_objective_loop(r, tau1, cfg, fc)
+        tau2, n_opt, z = fine_sync(r, tau1, cfg, fc)
         assert np.allclose(z, oracle, rtol=1e-9)
         assert n_opt == int(np.argmax(oracle)) - (fc.n_steps - 1)
 
@@ -348,8 +348,8 @@ class TestFineSync:
         # differences agree with the direct sums to 1e-12 relative.
         fc = FineConfig(t_corr=2e-9, fine_step=0.5e-9, n_symbols_avg=2)
         r = make_received(cfg, da_bits(12), 63.5e-9, snr_db=0.0, noise_seed=3)
-        _, _, z = fine_sync(r, 63e-9, cfg, fc)
         oracle = fine_objective_loop(r, 63e-9, cfg, fc)
+        _, _, z = fine_sync(r, 63e-9, cfg, fc)
         np.testing.assert_allclose(z, oracle, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=40, deadline=None)
@@ -366,8 +366,8 @@ class TestFineSync:
         fc = FineConfig(t_corr=t_corr, fine_step=step, n_symbols_avg=k_avg)
         r = make_received(cfg, da_bits(14), delta_tau, snr_db, noise_seed)
         tau1 = cell * 35e-9
-        _, n_opt, z = fine_sync(r, tau1, cfg, fc)
         expected = fine_objective_cube(r, tau1, cfg, fc)
+        _, n_opt, z = fine_sync(r, tau1, cfg, fc)
         assert z.tobytes() == expected.tobytes()
         peaks = np.flatnonzero(expected == expected.max()) - (fc.n_steps - 1)
         assert n_opt == min(peaks, key=lambda n: (abs(n), n))
@@ -495,7 +495,8 @@ class TestReadExtent:
                         "nda")
         tau1 = 31 * cc.search_step
         n = fine_min_samples(cfg, SHORT_FINE, tau1)
-        fine_sync(SampledWaveform(record.samples[:n], FS), tau1, cfg, SHORT_FINE)
+        fine_sync(SampledWaveform(record.samples[:n].copy(), FS), tau1, cfg,
+                  SHORT_FINE)
         with pytest.raises(ValueError, match="beyond the record"):
             fine_sync(SampledWaveform(record.samples[:n - 1], FS), tau1, cfg,
                       SHORT_FINE)
@@ -579,7 +580,7 @@ class TestTwoFloorSync:
         cc = CoarseConfig()
         fc = FineConfig()
         tau1, _ = coarse_sync(r, cfg, cc, 8, "nda")
-        ref = fine_sync(r, tau1, cfg, fc)[:2]
+        ref = fine_sync(SampledWaveform(r.samples.copy(), FS), tau1, cfg, fc)[:2]
         for c in (1e-3, 1e3):
             rc = SampledWaveform(r.samples * c, r.sample_rate)
             assert coarse_sync(rc, cfg, cc, 8, "nda")[0] == tau1
@@ -603,7 +604,7 @@ class TestTwoFloorSync:
         delta_tau = 77.7e-9
         bits = da_bits(16 + 13)
         r = make_received(cfg, bits, delta_tau)
-        r_shifted = SampledWaveform(r.samples[cfg.n_symbol_samples:], FS)
+        r_shifted = SampledWaveform(r.samples[cfg.n_symbol_samples:].copy(), FS)
         cc = CoarseConfig()
         fc = FineConfig()
         estimates = []
@@ -614,14 +615,12 @@ class TestTwoFloorSync:
 
 
 class TestBuffers:
-    @pytest.mark.parametrize("overwrite", [False, True])
-    def test_floors_write_every_buffer_entry_they_read(self, cfg, monkeypatch,
-                                                       overwrite):
+    def test_floors_write_every_buffer_entry_they_read(self, cfg, monkeypatch):
         # np.empty may hand back used memory, so NaN-filled buffers must
         # change no bit.  With the all-zero code and a fine scan half a step
         # wider than a symbol, the first window at tau1 = 0 starts at sample
         # 0: its sum is the running sum's first window end, less nothing.
-        # With overwrite the fine floor computes in a fresh copy each time.
+        # The fine floor computes in a fresh copy of the record each time.
         cfg = replace(cfg, th_code=[0] * cfg.n_frames_per_symbol)
         bits = list(np.random.default_rng(5).integers(0, 2, 20))
         r = make_received(cfg, bits, 500e-9, snr_db=10.0, noise_seed=3)
@@ -631,8 +630,7 @@ class TestBuffers:
 
         def floors():
             _, coarse = coarse_sync(r, cfg, CoarseConfig(), 8, "nda")
-            fine_r = SampledWaveform(r.samples.copy(), FS) if overwrite else r
-            _, _, fine = fine_sync(fine_r, 0.0, cfg, fc, overwrite=overwrite)
+            _, _, fine = fine_sync(SampledWaveform(r.samples.copy(), FS), 0.0, cfg, fc)
             return coarse.tobytes(), fine.tobytes()
         expected = floors()
         empty = np.empty
@@ -644,11 +642,9 @@ class TestBuffers:
         monkeypatch.setattr(np, "empty", nan_filled)
         assert floors() == expected
 
-    @pytest.mark.parametrize("overwrite, bound", [(False, 2), (True, 1)])
-    def test_fine_scan_keeps_one_prefix_sum_sized_array(self, overwrite, bound):
-        # The scan computes in place in one array: a copy of the samples it
-        # reads, so its traced peak stays well under two prefix sums, or,
-        # with overwrite, the record itself, under one.
+    def test_fine_scan_keeps_one_prefix_sum_sized_array(self):
+        # The scan computes in the record, whose samples are the one
+        # prefix-sum-sized array: its traced peak stays under one more.
         plan = ExperimentPlan()
         scene = build_trial_scene(plan, 8.0, 32, "nda", 0, 0)
         tau1, _ = coarse_sync(scene.received, scene.cfg, plan.coarse_cfg, 32, "nda")
@@ -658,12 +654,11 @@ class TestBuffers:
         try:
             start, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            fine_sync(scene.received, tau1, scene.cfg, plan.fine_cfg,
-                      overwrite=overwrite)
+            fine_sync(scene.received, tau1, scene.cfg, plan.fine_cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start < bound * csum_bytes
+        assert peak - start < csum_bytes
 
     @pytest.mark.parametrize("model, snr_db, m, mode", [
         ("cm1", 8.0, 8, "nda"), ("cm1", 8.0, 8, "da"),
@@ -671,11 +666,10 @@ class TestBuffers:
         ("single_path", math.inf, 8, "nda"),
     ])
     @pytest.mark.parametrize("start", ["coarse_pick", "first_window", "last_cell"])
-    def test_overwrite_changes_nothing_but_memory(self, model, snr_db, m, mode,
-                                                  start):
-        # The default leaves the record as it was and matches the cube
-        # oracle; overwrite returns the same bits and clobbers only the
-        # record's first hi - 2 n_s samples.
+    def test_fine_scan_in_the_record_matches_the_cube(self, model, snr_db, m, mode,
+                                                      start):
+        # Computing in the record gives the cube oracle's bits, taken from
+        # the intact record, and clobbers only its first hi - 2 n_s samples.
         plan = ExperimentPlan(channel_model=model)
         scene = build_trial_scene(plan, snr_db, m, mode, 0, 0)
         cfg, fc, r = scene.cfg, plan.fine_cfg, scene.received
@@ -690,14 +684,13 @@ class TestBuffers:
             assert fine_extent(cfg, fc, tau1)[0] == 0
         else:
             tau1 = (plan.coarse_cfg.grid_size(cfg) - 1) * plan.coarse_cfg.search_step
-        before = r.samples.tobytes()
-        tau2, n_opt, z = fine_sync(r, tau1, cfg, fc)
-        assert r.samples.tobytes() == before
-        assert z.tobytes() == fine_objective_cube(r, tau1, cfg, fc).tobytes()
-
+        expected = fine_objective_cube(r, tau1, cfg, fc)
         clobbered = SampledWaveform(r.samples.copy(), FS)
-        tau2_o, n_opt_o, z_o = fine_sync(clobbered, tau1, cfg, fc, overwrite=True)
-        assert (tau2_o, n_opt_o, z_o.tobytes()) == (tau2, n_opt, z.tobytes())
+        tau2, n_opt, z = fine_sync(clobbered, tau1, cfg, fc)
+        assert z.tobytes() == expected.tobytes()
+        peaks = np.flatnonzero(expected == expected.max()) - (fc.n_steps - 1)
+        assert n_opt == min(peaks, key=lambda n: (abs(n), n))
+        assert tau2 == (tau1 + n_opt * fc.fine_step) % cfg.symbol_duration
         kept = fine_extent(cfg, fc, tau1)[1] - 2 * cfg.n_symbol_samples
         assert clobbered.samples[kept:].tobytes() == r.samples[kept:].tobytes()
 
