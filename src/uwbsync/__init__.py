@@ -4,7 +4,6 @@ from .waveform import (
     ConfigError,
     FrameConfig,
     SampledWaveform,
-    SymbolSequence,
     sampled_monocycle,
     draw_th_code,
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import math
 import operator
+import reprlib
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ from .waveform import (
     ConfigError,
     FrameConfig,
     SampledWaveform,
-    SymbolSequence,
     sampled_monocycle,
 )
 
@@ -172,12 +172,14 @@ def snr_ref_samples(cfg: FrameConfig) -> int:
     return max(1, int(round(cfg.n_chip_samples / 2)))
 
 
-def aggregate_template(ch: ChannelRealization, cfg: FrameConfig) -> SampledWaveform:
-    """Noise-free received waveform of one isolated bit-0 symbol.
+def aggregate_template(ch: ChannelRealization, cfg: FrameConfig) -> np.ndarray:
+    """Noise-free received samples of one isolated bit-0 symbol, on the
+    grid of ``cfg``.
 
     This is the one-symbol pulse train convolved with the channel taps,
-    over [0, symbol_duration + channel excess delay]: each tap, its delay
-    rounded to the grid, adds one shifted, scaled copy of the pulses.
+    over [0, symbol_duration + channel excess delay], so never shorter
+    than a symbol: each tap, its delay rounded to the grid, adds one
+    shifted, scaled copy of the pulses.
     Pulses never overlap, so only the pulse samples are shifted, and the
     cost scales as pulse samples x taps.  This is the only code that
     writes pulses; :func:`propagate` builds every record and its noise
@@ -193,25 +195,24 @@ def aggregate_template(ch: ChannelRealization, cfg: FrameConfig) -> SampledWavef
     # so a trial on a sweep thread gives up and retakes the GIL less often.
     np.add.at(out, (idx[:, None] + pos).ravel(),
               (np.asarray(ch.gains)[:, None] * values).ravel())
-    return SampledWaveform(out, cfg.sample_rate)
+    return out
 
 
-def partial_energies(p_r: SampledWaveform, tau: float,
-                     symbol_duration: float) -> tuple[float, float, float]:
+def partial_energies(template: np.ndarray, tau: float,
+                     cfg: FrameConfig) -> tuple[float, float, float]:
     """Split the symbol-window energy of a template at T_s - tau.
 
-    Returns (eps_a, eps_b, eps_r): the Riemann-sum energies over
+    ``template`` is :func:`aggregate_template`'s array on the grid of
+    ``cfg``.  Returns (eps_a, eps_b, eps_r): the Riemann-sum energies over
     [T_s - tau, T_s), [0, T_s - tau) and [0, T_s).  The split point is
     rounded to the grid, so eps_a + eps_b = eps_r up to float rounding.
     """
-    if not 0 <= tau < symbol_duration:
+    if not 0 <= tau < cfg.symbol_duration:
         raise ValueError(f"tau = {tau!r} outside [0, symbol_duration)")
-    fs = p_r.sample_rate
-    n_s = int(round(symbol_duration * fs))
+    fs = cfg.sample_rate
+    n_s = cfg.n_symbol_samples
     n_tau = int(round(tau * fs))
-    s = p_r.samples[:n_s]
-    if len(s) < n_s:
-        s = np.pad(s, (0, n_s - len(s)))
+    s = template[:n_s]
     cut = n_s - n_tau
     eps_b = float(np.sum(s[:cut] * s[:cut]) / fs)
     eps_a = float(np.sum(s[cut:] * s[cut:]) / fs)
@@ -279,28 +280,29 @@ def _standard_normal(seed, n: int, threads: int = 1) -> np.ndarray:
     return out
 
 
-def propagate(bits: SymbolSequence, ch: ChannelRealization, cfg: FrameConfig, *,
+def propagate(bits, ch: ChannelRealization, cfg: FrameConfig, *,
               timing_offset: float = 0.0, snr_db: float = math.inf,
               noise_seed=None, draw_threads: int = 1) -> SampledWaveform:
-    """Transmit a bit sequence through the channel, the offset and AWGN.
+    """Transmit a bit sequence through the channel, the offset and AWGN,
+    and return the received record.
 
-    The noiseless record is the received one-symbol template
-    (:func:`aggregate_template`) overlap-added once per bit, at
-    k*symbol_duration + bit*ppm_shift + timing_offset for symbol k; the
-    same template sets the noise level.  The output window is the bits'
-    own, [0, K * symbol_duration) for K bits: the template tails past it
-    are cut.  Tap delays and the timing offset are rounded to the sample
-    grid.  The record is one array: the noise drawn from ``noise_seed``,
-    which a finite ``snr_db`` requires (zeros when noiseless), with the
-    templates added into it in place.  ``draw_threads`` (1 or 2) is the
-    number of threads that draw the noise; the record's bytes do not
-    depend on it.
+    ``bits`` is any non-empty sequence of data bits, each equal to 0 or 1
+    (a list, a tuple of bools, a numpy int array).  The noiseless record
+    is the received one-symbol template (:func:`aggregate_template`)
+    overlap-added once per bit, at k*symbol_duration + bit*ppm_shift +
+    timing_offset for symbol k; the same template sets the noise level.
+    The output window is the bits' own, [0, K * symbol_duration) for K
+    bits: the template tails past it are cut.  Tap delays and the timing
+    offset are rounded to the sample grid.  The record is one array: the
+    noise drawn from ``noise_seed``, which a finite ``snr_db`` requires
+    (zeros when noiseless), with the templates added into it in place.
+    ``draw_threads`` (1 or 2) is the number of threads that draw the
+    noise; the record's bytes do not depend on it.
     """
-    if not isinstance(bits, SymbolSequence):
-        raise TypeError(
-            f"propagate takes the data bits as a SymbolSequence, not "
-            f"{type(bits).__name__}"
-        )
+    values = np.asarray(bits)
+    if values.ndim != 1 or not values.size or not np.all((values == 0) | (values == 1)):
+        raise ValueError(f"bits {reprlib.repr(bits)} are not a non-empty "
+                         "sequence of 0s and 1s")
     t_s = cfg.symbol_duration
     if not 0 <= timing_offset < t_s:
         raise ValueError(f"timing_offset = {timing_offset!r} outside [0, {t_s!r})")
@@ -310,13 +312,13 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, cfg: FrameConfig, *,
     fs = cfg.sample_rate
     n_sym = cfg.n_symbol_samples
     n_off = int(round(timing_offset * fs))
-    n = len(bits) * n_sym
+    n = values.size * n_sym
     # The record is allocated before the template: in the other order a
     # serial CM1 sweep's peak RSS read 67.4 MB in 4 of 10 runs, against
     # 59.0-61.0 MB in all 10 in this one (perfbench sweep_cm1, 2-vCPU Xeon).
     noisy = snr_db != math.inf
     out = _standard_normal(noise_seed, n, draw_threads) if noisy else np.zeros(n)
-    template = aggregate_template(ch, cfg).samples
+    template = aggregate_template(ch, cfg)
     if noisy:
         # np.sum, not np.dot: a BLAS dot this long runs threaded, and its
         # rounding (so the record) then depends on the BLAS thread count.
@@ -330,8 +332,8 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, cfg: FrameConfig, *,
     # symbols covers every sample.  Where the run has two or more (a channel
     # tail across a symbol boundary), their samples are summed in symbol
     # order before the one add into the record: sigma*z + (t_a + t_b).
-    starts = [k * n_sym + bit * cfg.n_shift_samples + n_off
-              for k, bit in enumerate(bits.bits)]
+    starts = [k * n_sym + int(bit) * cfg.n_shift_samples + n_off
+              for k, bit in enumerate(values.tolist())]
     ends = [s + len(template) for s in starts]
     edges = sorted({min(e, n) for e in starts + ends})
     for a, b in zip(edges, edges[1:]):
@@ -342,7 +344,8 @@ def propagate(bits: SymbolSequence, ch: ChannelRealization, cfg: FrameConfig, *,
     return SampledWaveform(out, fs)
 
 
-def generate_tx(symbols: SymbolSequence, cfg: FrameConfig) -> SampledWaveform:
-    """The TH-PPM transmit train of a bit sequence: its noiseless record
-    through the identity channel, ``len(symbols) * n_symbol_samples`` long."""
-    return propagate(symbols, single_path(), cfg)
+def generate_tx(bits, cfg: FrameConfig) -> SampledWaveform:
+    """The TH-PPM transmit train of a sequence of 0/1 bits: its noiseless
+    record through the identity channel, ``len(bits) * n_symbol_samples``
+    long."""
+    return propagate(bits, single_path(), cfg)

@@ -206,6 +206,16 @@ def _snr_definition_line(plan: ExperimentPlan) -> str:
     )
 
 
+def _numpy_simd():
+    """numpy's SIMD targets, its baseline and those found on this CPU,
+    which choose the loops a run uses; "unknown" on a numpy whose
+    ``show_config`` has no dict mode, such as 1.24."""
+    try:
+        return np.show_config(mode="dicts")["SIMD Extensions"]
+    except TypeError:
+        return "unknown"
+
+
 def cmd_sweep(args) -> int:
     plan = load_plan(args.config)
     out_dir = Path(args.out)
@@ -228,6 +238,7 @@ def cmd_sweep(args) -> int:
         "results_csv": str(out_dir / "results.csv"),
         "workers": workers,
         "numpy_version": np.__version__,
+        "numpy_simd": _numpy_simd(),
         "sweep_wall_s": f"{sweep_wall_s:.3f}",
     })
     (out_dir / "manifest.cfg").write_text(manifest)

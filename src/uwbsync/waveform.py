@@ -10,6 +10,7 @@ are sample-exact and testable.
 from __future__ import annotations
 
 import bisect
+import decimal
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -20,7 +21,6 @@ __all__ = [
     "ConfigError",
     "FrameConfig",
     "SampledWaveform",
-    "SymbolSequence",
     "sampled_monocycle",
     "draw_th_code",
 ]
@@ -150,7 +150,8 @@ class FrameConfig:
 
 @dataclass
 class SampledWaveform:
-    """A uniformly sampled real-valued signal starting at time 0."""
+    """A received record: a uniformly sampled real-valued signal starting
+    at time 0, every sample finite."""
 
     samples: np.ndarray
     sample_rate: float
@@ -164,32 +165,6 @@ class SampledWaveform:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-@dataclass(frozen=True)
-class SymbolSequence:
-    """A sequence of {0,1} data bits."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if not self.bits:
-            raise ValueError("bits must be non-empty")
-        for b in self.bits:
-            if b not in (0, 1):
-                raise ValueError(f"bit {b!r} outside {{0, 1}}")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    @classmethod
-    def random(cls, n: int, seed) -> "SymbolSequence":
-        rng = np.random.default_rng(seed)
-        return cls(tuple(rng.integers(0, 2, size=n).tolist()))
-
 
 @lru_cache(maxsize=32)
 def sampled_monocycle(pulse_duration: float,
@@ -200,13 +175,21 @@ def sampled_monocycle(pulse_duration: float,
     sampled at t = 0, 1/sample_rate, ... inside [0, pulse_duration).  The
     amplitude is normalized numerically on this grid, not analytically, so
     the discrete pulse energy is exactly 1 at this rate.
+
+    Its bytes are the same on every CPU: the exponentials are rounded
+    correctly from 50-digit decimals, where numpy's exp loop for a CPU
+    may miss by an ulp, and the energy is a numpy sum, not a BLAS dot.
     """
     n = _on_grid(pulse_duration, sample_rate, "pulse_duration")
     tau_m = pulse_duration / SHAPE_RATIO
     u = (np.arange(n) / sample_rate - pulse_duration / 2.0) / tau_m
     u2 = u * u
-    shape = (1.0 - 4.0 * math.pi * u2) * np.exp(-2.0 * math.pi * u2)
-    amp = 1.0 / math.sqrt(np.dot(shape, shape) / sample_rate)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        exp = np.array([float(decimal.Decimal(a).exp())
+                        for a in (-2.0 * math.pi * u2).tolist()])
+    shape = (1.0 - 4.0 * math.pi * u2) * exp
+    amp = 1.0 / math.sqrt(np.sum(shape * shape) / sample_rate)
     pulse = amp * shape
     pulse.setflags(write=False)
     return pulse

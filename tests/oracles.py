@@ -35,9 +35,14 @@ from uwbsync.channel import noise_std, snr_ref_samples
 FRAME = draw_th_code(np.random.default_rng(0), FrameConfig())
 
 
-def energy(w: SampledWaveform) -> float:
+def energy(samples: np.ndarray, sample_rate: float) -> float:
     """Riemann-sum energy, sum(x^2) / sample_rate."""
-    return float(np.sum(w.samples * w.samples) / w.sample_rate)
+    return float(np.sum(samples * samples) / sample_rate)
+
+
+def random_bits(n: int, seed) -> list[int]:
+    """``n`` uniform 0/1 bits from ``seed``, drawn as a trial draws NDA bits."""
+    return np.random.default_rng(seed).integers(0, 2, size=n).tolist()
 
 
 def rms_delay_spread(ch) -> float:
@@ -68,11 +73,11 @@ def record(bits, ch, cfg: FrameConfig, timing_offset: float = 0.0,
            snr_db: float = math.inf, noise_seed=None) -> np.ndarray:
     """The received record in two arrays: the channel template overlap-added
     into zeros once per bit, in symbol order, then sigma * z + that sum."""
-    template = aggregate_template(ch, cfg).samples
+    template = aggregate_template(ch, cfg)
     n_s = cfg.n_symbol_samples
     n_off = int(round(timing_offset * cfg.sample_rate))
     out = np.zeros(len(bits) * n_s)
-    for k, bit in enumerate(bits.bits):
+    for k, bit in enumerate(bits):
         start = k * n_s + bit * cfg.n_shift_samples + n_off
         seg = out[start:start + len(template)]
         seg += template[:len(seg)]

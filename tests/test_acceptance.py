@@ -18,7 +18,6 @@ from uwbsync import (
     ExperimentPlan,
     FineConfig,
     SampledWaveform,
-    SymbolSequence,
     aggregate_template,
     coarse_sync,
     fine_sync,
@@ -34,7 +33,7 @@ from uwbsync import (
 )
 from uwbsync.cli import load_plan, main
 
-from oracles import FRAME
+from oracles import FRAME, random_bits
 
 TS = 1120e-9
 
@@ -83,7 +82,7 @@ def noiseless_trials():
     cc = plan.coarse_cfg
     fc = plan.fine_cfg
     rng = np.random.default_rng(20260801)
-    bits = SymbolSequence([training_pattern(k) for k in range(16 + 12)])
+    bits = [training_pattern(k) for k in range(16 + 12)]
     t0 = time.time()
     errs = []
     for _ in range(50):
@@ -141,8 +140,8 @@ class TestCriterion02EnergyIdentity:
             ch = generate_cm1(5000 + i)
             template = aggregate_template(ch, cfg)
             tau = float(rng.uniform(0.0, TS))
-            eps_a, eps_b, eps_r = partial_energies(template, tau, TS)
-            boundary = float(np.max(template.samples ** 2)) / cfg.sample_rate
+            eps_a, eps_b, eps_r = partial_energies(template, tau, cfg)
+            boundary = float(np.max(template ** 2)) / cfg.sample_rate
             tol = 1e-9 * eps_r + boundary
             worst = max(worst, abs(eps_a + eps_b - eps_r) / tol)
             assert abs(eps_a + eps_b - eps_r) <= tol
@@ -163,7 +162,7 @@ class TestCriterion03ObjectivePeak:
         for seed in range(n_seeds):
             ch = generate_cm1(9000 + seed)
             dtau = float(rng.uniform(0.0, TS))
-            bits = SymbolSequence.random(64 + 12, 70_000 + seed)
+            bits = random_bits(64 + 12, 70_000 + seed)
             r = propagate(bits, ch, cfg, timing_offset=dtau)
             tau1, _ = coarse_sync(r, cfg, cc, 64, "nda")
             err = abs(wrapped_error(tau1, dtau, TS))
@@ -270,7 +269,7 @@ class TestCriterion10ScaleInvariance:
         for trial in range(20):
             ch = generate_cm1(40_000 + trial)
             dtau = float(rng.uniform(0.0, TS))
-            bits = SymbolSequence.random(8 + 12, 50_000 + trial)
+            bits = random_bits(8 + 12, 50_000 + trial)
             r = propagate(bits, ch, cfg, timing_offset=dtau, snr_db=10.0,
                           noise_seed=60_000 + trial)
             tau1, _ = coarse_sync(r, cfg, cc, 8, "nda")

@@ -12,13 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 from uwbsync import (
     ChannelRealization,
     ConfigError,
-    SampledWaveform,
-    SymbolSequence,
     aggregate_template,
     generate_cm1,
     generate_tx,
     partial_energies,
     propagate,
+    sampled_monocycle,
     single_path,
 )
 from uwbsync import channel as channel_module
@@ -30,6 +29,7 @@ from oracles import (
     dirty_correlation,
     energy,
     pulse_train,
+    random_bits,
     record,
     rms_delay_spread,
     run_python,
@@ -65,7 +65,7 @@ def cfg():
 def taps_over_train(bits, ch, offset, cfg):
     """Oracle record: each tap, delay rounded to the grid, adds a scaled copy
     of the whole pulse train, all delayed and cut to the K-symbol window."""
-    train = pulse_train(bits.bits, cfg)
+    train = pulse_train(bits, cfg)
     out = np.zeros(len(train))
     n_off = int(round(offset * cfg.sample_rate))
     for g, d in zip(ch.gains, ch.delays):
@@ -134,13 +134,13 @@ class TestRealizations:
 
 class TestPropagate:
     def test_identity_channel_zero_offset(self, cfg):
-        bits = SymbolSequence([0, 1])
+        bits = [0, 1]
         out = propagate(bits, single_path(), cfg)
-        assert out.samples.tobytes() == pulse_train(bits.bits, cfg).tobytes()
+        assert out.samples.tobytes() == pulse_train(bits, cfg).tobytes()
 
     def test_pure_delay(self, cfg):
-        bits = SymbolSequence([0, 1])
-        tx = pulse_train(bits.bits, cfg)
+        bits = [0, 1]
+        tx = pulse_train(bits, cfg)
         off = 7e-9
         out = propagate(bits, single_path(), cfg, timing_offset=off)
         n = int(round(off * cfg.sample_rate))
@@ -148,7 +148,7 @@ class TestPropagate:
         assert np.all(out.samples[:n] == 0.0)
 
     def test_output_window_is_k_symbols(self, cfg):
-        out = propagate(SymbolSequence([0, 1, 0]), single_path(),
+        out = propagate([0, 1, 0], single_path(),
                         cfg, timing_offset=1e-9)
         assert len(out.samples) == 3 * cfg.n_symbol_samples
 
@@ -157,23 +157,27 @@ class TestPropagate:
         # pulse width adds no cross terms: energy passes through intact.
         gains = np.full(5, 1.0 / math.sqrt(5.0))
         ch = ChannelRealization(tuple(gains), tuple(i * 2e-9 for i in range(5)))
-        bits = SymbolSequence([0, 1, 1, 0])
-        tx = SampledWaveform(pulse_train(bits.bits, cfg), cfg.sample_rate)
+        bits = [0, 1, 1, 0]
+        tx = pulse_train(bits, cfg)
         out = propagate(bits, ch, cfg)
-        assert energy(out) == pytest.approx(energy(tx), rel=5e-3)
+        fs = cfg.sample_rate
+        assert energy(out.samples, fs) == pytest.approx(energy(tx, fs), rel=5e-3)
 
     def test_cm1_energy_consistent_with_template(self, cfg):
         # With overlapping rays the energy deviates from the input by the
         # pulse cross terms; propagate and the template agree on it.
-        bits = SymbolSequence([0, 0, 0, 0])
-        tx = SampledWaveform(pulse_train(bits.bits, cfg), cfg.sample_rate)
+        bits = [0, 0, 0, 0]
+        tx = pulse_train(bits, cfg)
         ch = generate_cm1(3)
         out = propagate(bits, ch, cfg)
-        template_ratio = energy(aggregate_template(ch, cfg)) / cfg.n_frames_per_symbol
-        assert energy(out) / energy(tx) == pytest.approx(template_ratio, rel=1e-9)
+        fs = cfg.sample_rate
+        template_ratio = (energy(aggregate_template(ch, cfg), fs)
+                          / cfg.n_frames_per_symbol)
+        assert (energy(out.samples, fs) / energy(tx, fs)
+                == pytest.approx(template_ratio, rel=1e-9))
 
     def test_rejects_offset_outside_symbol(self, cfg):
-        bits = SymbolSequence([0])
+        bits = [0]
         with pytest.raises(ValueError):
             propagate(bits, single_path(),
                       cfg, timing_offset=cfg.symbol_duration)
@@ -181,7 +185,7 @@ class TestPropagate:
             propagate(bits, single_path(), cfg, timing_offset=-1e-9)
 
     def test_noise_deterministic_per_seed(self, cfg):
-        bits = SymbolSequence([0])
+        bits = [0]
         a = propagate(bits, single_path(), cfg, snr_db=10.0, noise_seed=42)
         b = propagate(bits, single_path(), cfg, snr_db=10.0, noise_seed=42)
         c = propagate(bits, single_path(), cfg, snr_db=10.0, noise_seed=43)
@@ -191,16 +195,35 @@ class TestPropagate:
     def test_finite_snr_needs_a_noise_seed(self, cfg):
         # Noise drawn from fresh OS entropy could never be drawn again.
         with pytest.raises(ValueError, match="noise_seed"):
-            propagate(SymbolSequence([0]), single_path(), cfg, snr_db=10.0)
+            propagate([0], single_path(), cfg, snr_db=10.0)
 
-    def test_rejects_a_pulse_train(self, cfg):
-        # The old calling form passed the transmit waveform; its length
-        # must not be read as a number of symbols.
-        tx = generate_tx(SymbolSequence([0, 1]), cfg)
-        with pytest.raises(TypeError, match="SymbolSequence"):
-            propagate(tx, single_path(), cfg)
-        with pytest.raises(TypeError, match="SymbolSequence"):
-            propagate([0, 1], single_path(), cfg)
+    @pytest.mark.parametrize("synth", [
+        pytest.param(lambda bits, cfg: propagate(bits, single_path(), cfg),
+                     id="propagate"),
+        pytest.param(generate_tx, id="generate_tx"),
+    ])
+    @pytest.mark.parametrize("make_bits, accepted", [
+        pytest.param(lambda cfg: [0, 1, 1], True, id="list"),
+        pytest.param(lambda cfg: (False, True, True), True, id="tuple_of_bools"),
+        pytest.param(lambda cfg: np.array([0, 1, 1]), True, id="numpy_ints"),
+        pytest.param(lambda cfg: [], False, id="empty"),
+        pytest.param(lambda cfg: [0, 2, 1], False, id="a_two"),
+        # Not truncated to bit 0.
+        pytest.param(lambda cfg: [0.7], False, id="a_fraction"),
+        # A transmit waveform, or its samples, is not a bit sequence: its
+        # length must not be read as a number of symbols.
+        pytest.param(lambda cfg: generate_tx([0, 1], cfg).samples, False,
+                     id="pulse_train_samples"),
+        pytest.param(lambda cfg: generate_tx([0, 1], cfg), False, id="pulse_train"),
+    ])
+    def test_bits_are_a_non_empty_sequence_of_0_and_1(self, cfg, synth, make_bits,
+                                                      accepted):
+        bits = make_bits(cfg)
+        if accepted:
+            assert synth(bits, cfg).samples.tobytes() == pulse_train([0, 1, 1], cfg).tobytes()
+        else:
+            with pytest.raises(ValueError, match="not a non-empty sequence of 0s and 1s"):
+                synth(bits, cfg)
 
     @settings(max_examples=25, deadline=None)
     @given(channel_seed=st.integers(0, 2**32 - 1), bits=BITS, code=CODES,
@@ -214,7 +237,6 @@ class TestPropagate:
         # two agree to rounding.
         cfg = replace(cfg, th_code=code)
         ch = generate_cm1(channel_seed)
-        bits = SymbolSequence(bits)
         out = propagate(bits, ch, cfg, timing_offset=offset)
         expected = taps_over_train(bits, ch, offset, cfg)
         peak = float(np.max(np.abs(expected)))
@@ -227,7 +249,6 @@ class TestPropagate:
     @example(bits=[0, 1], code=(0,) * 32, offset=55_999 / 50e9)
     def test_single_path_record_is_bit_exact(self, cfg, bits, code, offset):
         cfg = replace(cfg, th_code=code)
-        bits = SymbolSequence(bits)
         out = propagate(bits, single_path(), cfg, timing_offset=offset)
         expected = taps_over_train(bits, single_path(), offset, cfg)
         assert out.samples.tobytes() == expected.tobytes()
@@ -246,7 +267,6 @@ class TestPropagate:
         # Byte for byte: overlapping templates are summed in symbol order
         # before they meet the noise, as in the two-array composition.
         cfg = replace(cfg, th_code=code)
-        bits = SymbolSequence(bits)
         out = propagate(bits, ch, cfg, timing_offset=offset, snr_db=snr_db,
                         noise_seed=noise_seed)
         expected = record(bits, ch, cfg, offset, snr_db, noise_seed)
@@ -270,19 +290,19 @@ class TestPropagate:
     def test_noise_is_added_to_the_clean_record(self, cfg):
         # Bit for bit: the noisy record is the clean one plus
         # normal(0, sigma) drawn from the noise seed.
-        bits = SymbolSequence.random(5, 4)
+        bits = random_bits(5, 4)
         ch = generate_cm1(12)
         clean = propagate(bits, ch, cfg, timing_offset=300e-9)
         noisy = propagate(bits, ch, cfg, timing_offset=300e-9, snr_db=4.0,
                           noise_seed=77)
-        template = aggregate_template(ch, cfg).samples[:cfg.n_symbol_samples]
+        template = aggregate_template(ch, cfg)[:cfg.n_symbol_samples]
         sigma = noise_std(float(np.sum(template * template)), 4.0, snr_ref_samples(cfg))
         noise = np.random.default_rng(77).normal(0.0, sigma, len(clean.samples))
         assert noisy.samples.tobytes() == (clean.samples + noise).tobytes()
 
     def test_noise_variance_calibration(self, cfg):
         # Measured variance over ~1e6 noise-only samples within 1%.
-        bits = SymbolSequence.random(18, 0)
+        bits = random_bits(18, 0)
         ch = single_path()
         clean = propagate(bits, ch, cfg)
         noisy = propagate(bits, ch, cfg, snr_db=6.0, noise_seed=1)
@@ -290,7 +310,7 @@ class TestPropagate:
         assert len(noise) >= 1_000_000
         template = aggregate_template(ch, cfg)
         n_s = cfg.n_symbol_samples
-        e_sum = float(np.dot(template.samples[:n_s], template.samples[:n_s]))
+        e_sum = float(np.dot(template[:n_s], template[:n_s]))
         sigma = noise_std(e_sum, 6.0, snr_ref_samples(cfg))
         assert float(np.var(noise)) == pytest.approx(sigma ** 2, rel=0.01)
 
@@ -299,7 +319,7 @@ class TestPropagate:
         # Before the bound: 10 ** 309 overflowed, and -3000 dB gave an
         # infinite noise level.
         for call in (lambda: noise_std(1.0, snr_db, 1),
-                     lambda: propagate(SymbolSequence([0]), single_path(), cfg,
+                     lambda: propagate([0], single_path(), cfg,
                                        snr_db=snr_db, noise_seed=1)):
             with pytest.raises(ConfigError, match="neither inf nor within") as exc:
                 call()
@@ -364,14 +384,14 @@ class TestNoiseDraw:
 class TestAggregateTemplate:
     def test_single_path_equals_one_symbol_train(self, cfg):
         t = aggregate_template(single_path(), cfg)
-        assert t.samples.tobytes() == pulse_train([0], cfg).tobytes()
+        assert t.tobytes() == pulse_train([0], cfg).tobytes()
 
     def test_energy_is_a_channel_constant_not_offset_dependent(self, cfg):
         # The template never sees the timing offset, so the record at any
         # offset is the offset-0 record delayed by whole samples, bit for
         # bit: the offset moves energy only across the window's end.
         ch = generate_cm1(9)
-        bits = SymbolSequence([0, 0, 0])
+        bits = [0, 0, 0]
         base = propagate(bits, ch, cfg).samples
         for off in (13.7e-9, 411.3e-9):
             out = propagate(bits, ch, cfg, timing_offset=off).samples
@@ -383,7 +403,7 @@ class TestAggregateTemplate:
     def test_mean_template_energy_matches_pulse_count(self, cfg):
         # Per realization the energy fluctuates with ray-overlap cross
         # terms; the seed average sits at the pulse count (unit pulses).
-        vals = [energy(aggregate_template(generate_cm1(s), cfg))
+        vals = [energy(aggregate_template(generate_cm1(s), cfg), cfg.sample_rate)
                 for s in range(60)]
         mean = float(np.mean(vals))
         expected = cfg.n_frames_per_symbol
@@ -400,12 +420,12 @@ class TestAggregateTemplate:
               "coinciding": ChannelRealization((0.6, 0.48, -0.64),
                                                (0.0, 3e-9, 3e-9))}[taps]
         t = aggregate_template(ch, cfg)
-        base = aggregate_template(single_path(), cfg).samples
+        base = aggregate_template(single_path(), cfg)
         idx = [int(round(d * cfg.sample_rate)) for d in ch.delays]
         expected = np.zeros(len(base) + max(idx))
         for gain, n in zip(ch.gains, idx):
             expected[n:n + len(base)] += gain * base
-        assert t.samples.tobytes() == expected.tobytes()
+        assert t.tobytes() == expected.tobytes()
 
     def test_many_taps_match_direct_convolution(self, cfg):
         # Oracle: np.convolve of the one-symbol train with the tap kernel
@@ -417,15 +437,15 @@ class TestAggregateTemplate:
         np.add.at(kernel, idx, np.asarray(ch.gains))
         expected = np.convolve(pulse_train([0], cfg), kernel)
         t = aggregate_template(ch, cfg)
-        assert t.samples.shape == expected.shape
+        assert t.shape == expected.shape
         peak = float(np.max(np.abs(expected)))
-        assert float(np.max(np.abs(t.samples - expected))) <= 1e-12 * peak
+        assert float(np.max(np.abs(t - expected))) <= 1e-12 * peak
 
 
 class TestPartialEnergies:
     def test_tau_zero_puts_everything_in_b(self, cfg):
         t = aggregate_template(generate_cm1(2), cfg)
-        eps_a, eps_b, eps_r = partial_energies(t, 0.0, cfg.symbol_duration)
+        eps_a, eps_b, eps_r = partial_energies(t, 0.0, cfg)
         assert eps_a == 0.0
         assert eps_b == eps_r
 
@@ -433,7 +453,7 @@ class TestPartialEnergies:
         t = aggregate_template(single_path(), cfg)
         t_s = cfg.symbol_duration
         tau = t_s - 1.0 / cfg.sample_rate
-        eps_a, eps_b, eps_r = partial_energies(t, tau, t_s)
+        eps_a, eps_b, eps_r = partial_energies(t, tau, cfg)
         # First pulse of the default code starts well after t=0.
         assert eps_b == 0.0
         assert eps_a == eps_r
@@ -447,7 +467,7 @@ class TestPartialEnergies:
             ch = generate_cm1(200 + i)
             t = aggregate_template(ch, cfg)
             tau = float(rng.uniform(0.0, t_s))
-            eps_a, eps_b, eps_r = partial_energies(t, tau, t_s)
+            eps_a, eps_b, eps_r = partial_energies(t, tau, cfg)
             assert eps_a + eps_b == pytest.approx(eps_r, rel=1e-12)
             assert eps_a >= 0.0 and eps_b >= 0.0
 
@@ -455,29 +475,30 @@ class TestPartialEnergies:
         # eps_r is summed over the whole window on its own, not as
         # eps_a + eps_b, so the additivity checks compare independent sums.
         t = aggregate_template(generate_cm1(4), cfg)
-        s = t.samples[:cfg.n_symbol_samples]
+        s = t[:cfg.n_symbol_samples]
         for tau in (100e-9, 523.5e-9, 1000e-9):
-            eps_r = partial_energies(t, tau, cfg.symbol_duration)[2]
+            eps_r = partial_energies(t, tau, cfg)[2]
             assert eps_r == float(np.sum(s * s) / cfg.sample_rate)
 
     def test_rejects_tau_out_of_range(self, cfg):
         t = aggregate_template(single_path(), cfg)
         with pytest.raises(ValueError):
-            partial_energies(t, cfg.symbol_duration, cfg.symbol_duration)
+            partial_energies(t, cfg.symbol_duration, cfg)
 
 
 def test_symbol_long_energies_call_no_blas(cfg, monkeypatch):
     # A BLAS dot over a symbol runs threaded, so its last bits would depend
-    # on the thread count.
-    t = aggregate_template(generate_cm1(5), cfg)
-    r = propagate(SymbolSequence([1, 0, 1, 1, 0]), generate_cm1(5),
-                  cfg, timing_offset=300e-9, snr_db=10.0, noise_seed=2)
-
+    # on the thread count; the pulse's energy, summed by BLAS, would depend
+    # on the CPU's kernels.
     def no_blas(*args, **kwargs):
         raise AssertionError("BLAS call")
     monkeypatch.setattr(np, "dot", no_blas)
-    partial_energies(t, 400e-9, cfg.symbol_duration)
-    energy(t)
+    sampled_monocycle.__wrapped__(cfg.pulse_duration, cfg.sample_rate)
+    t = aggregate_template(generate_cm1(5), cfg)
+    r = propagate([1, 0, 1, 1, 0], generate_cm1(5),
+                  cfg, timing_offset=300e-9, snr_db=10.0, noise_seed=2)
+    partial_energies(t, 400e-9, cfg)
+    energy(t, cfg.sample_rate)
     dirty_correlation(r, 1, 300e-9, cfg)
 
 

@@ -18,8 +18,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from uwbsync import (ConfigError, CoarseConfig, ExperimentPlan, FineConfig,
                      FrameConfig)
 from uwbsync import harness
-from uwbsync.cli import (_KEY_OF_FIELD, _SCHEMA, load_plan, main,
+from uwbsync.cli import (_KEY_OF_FIELD, _SCHEMA, _numpy_simd, load_plan, main,
                          plan_to_config_text)
+
+from oracles import run_python
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 # The CI workflow sweeps the same configs and checks the same SHA256SUMS.
@@ -363,10 +365,17 @@ class TestSweepCommand:
         run_info = manifest["run_info"]
         assert int(run_info["workers"]) == harness.sweep_workers(plan, 2)
         assert run_info["numpy_version"] == np.__version__
+        assert run_info["numpy_simd"] == str(np.show_config(mode="dicts")["SIMD Extensions"])
         assert float(run_info["sweep_wall_s"]) > 0
         replay = tmp_path / "replay"
         assert main(["sweep", str(out2 / "manifest.cfg"), "--out", str(replay)]) == 0
         assert (replay / "results.csv").read_bytes() == csv2
+
+    def test_simd_targets_are_unknown_on_a_numpy_without_dict_config(self,
+                                                                    monkeypatch):
+        # numpy 1.24's show_config takes no mode.
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        assert _numpy_simd() == "unknown"
 
     def test_reports_the_workers_it_uses(self, tmp_path, capsys):
         # One trial runs serially whatever --threads asks for, so this
@@ -503,6 +512,19 @@ class TestCiPins:
         self.sweep(CI_CONFIGS / "one_cell.cfg", tmp_path / "out_one_cell",
                    "--dump-objectives")
         self.assert_pinned(tmp_path, "out_one_cell")
+
+    def test_one_cell_dump_on_every_numpy_dispatch_target(self, tmp_path):
+        # numpy picks its loops for the CPU it runs on.  Switching its
+        # targets above the baseline off, from the highest down, stands in
+        # for older CPUs: AVX-512's exp loop once moved the pulse by an ulp.
+        found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+        for i in range(1, len(found) + 1):
+            root = tmp_path / f"off{i}"
+            argv = ["sweep", str(CI_CONFIGS / "one_cell.cfg"), "--dump-objectives",
+                    "--out", str(root / "out_one_cell")]
+            run_python(f"from uwbsync.cli import main; assert main({argv!r}) == 0",
+                       NPY_DISABLE_CPU_FEATURES=" ".join(found[-i:]))
+            self.assert_pinned(root, "out_one_cell")
 
 
 class TestDemoCommand:

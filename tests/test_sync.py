@@ -15,7 +15,6 @@ from uwbsync import (
     FineConfig,
     FrameConfig,
     SampledWaveform,
-    SymbolSequence,
     coarse_sync,
     fine_sync,
     propagate,
@@ -44,7 +43,7 @@ def cfg():
 
 
 def make_received(cfg, bits, delta_tau, snr_db=math.inf, noise_seed=0):
-    return propagate(SymbolSequence(bits), single_path(),
+    return propagate(bits, single_path(),
                      cfg, timing_offset=delta_tau, snr_db=snr_db, noise_seed=noise_seed)
 
 
@@ -218,7 +217,7 @@ class TestCoarseSync:
             ch = generate_cm1(3000 + seed)
             rng = np.random.default_rng(900 + seed)
             delta_tau = float(rng.uniform(0, t_s))
-            r = propagate(SymbolSequence(da_bits(8 + 12)), ch,
+            r = propagate(da_bits(8 + 12), ch,
                           cfg, timing_offset=delta_tau)
             _, objective = coarse_sync(r, cfg, cc, 8, "da")
             taus = np.arange(len(objective)) * cc.search_step

@@ -14,14 +14,13 @@ from uwbsync import (
     ExperimentPlan,
     FrameConfig,
     SampledWaveform,
-    SymbolSequence,
     draw_th_code,
     generate_tx,
     sampled_monocycle,
 )
 from uwbsync.harness import build_trial_scene
 
-from oracles import FRAME, energy, pulse_train
+from oracles import FRAME, energy, pulse_train, random_bits
 
 FS = 50e9
 TP = 0.8e-9
@@ -151,7 +150,7 @@ class TestGenerateTx:
         # One frame, all-zero code, bit 0: the output is the bare pulse
         # padded to one frame.
         cfg = FrameConfig(n_frames_per_symbol=1, th_code=(0,), n_chips=1)
-        tx = generate_tx(SymbolSequence([0]), cfg)
+        tx = generate_tx([0], cfg)
         pulse = sampled_monocycle(cfg.pulse_duration, cfg.sample_rate)
         expected = np.zeros(cfg.n_frame_samples)
         expected[:len(pulse)] = pulse
@@ -159,8 +158,8 @@ class TestGenerateTx:
 
     def test_ppm_shift_is_sample_exact(self):
         cfg = FRAME
-        tx0 = generate_tx(SymbolSequence([0]), cfg)
-        tx1 = generate_tx(SymbolSequence([1]), cfg)
+        tx0 = generate_tx([0], cfg)
+        tx1 = generate_tx([1], cfg)
         n = cfg.n_shift_samples
         assert np.array_equal(tx1.samples[n:], tx0.samples[:-n])
         assert np.all(tx1.samples[:n] == 0.0)
@@ -168,13 +167,13 @@ class TestGenerateTx:
     def test_energy_scales_with_pulse_count(self):
         cfg = FRAME
         k = 4
-        tx = generate_tx(SymbolSequence.random(k, 99), cfg)
+        tx = generate_tx(random_bits(k, 99), cfg)
         expected = k * cfg.n_frames_per_symbol
-        assert energy(tx) == pytest.approx(expected, rel=1e-3)
+        assert energy(tx.samples, cfg.sample_rate) == pytest.approx(expected, rel=1e-3)
 
     def test_per_frame_energy_no_leakage(self):
         cfg = FRAME
-        tx = generate_tx(SymbolSequence([1]), cfg)
+        tx = generate_tx([1], cfg)
         nf = cfg.n_frame_samples
         for i in range(cfg.n_frames_per_symbol):
             frame = tx.samples[i * nf:(i + 1) * nf]
@@ -183,7 +182,7 @@ class TestGenerateTx:
 
     def test_deterministic(self):
         cfg = FRAME
-        bits = SymbolSequence.random(3, 5)
+        bits = random_bits(3, 5)
         a = generate_tx(bits, cfg)
         b = generate_tx(bits, cfg)
         assert np.array_equal(a.samples, b.samples)
@@ -196,19 +195,13 @@ class TestGenerateTx:
         # Codes reach the last chip a bit-1 pulse can use without leaking.
         code = np.random.default_rng(code_seed).integers(0, 34, 32)
         cfg = replace(FRAME, th_code=code)
-        tx = generate_tx(SymbolSequence(bits), cfg)
+        tx = generate_tx(bits, cfg)
         assert tx.samples.tobytes() == pulse_train(bits, cfg).tobytes()
 
     def test_output_length(self):
         cfg = FRAME
-        tx = generate_tx(SymbolSequence.random(5, 1), cfg)
+        tx = generate_tx(random_bits(5, 1), cfg)
         assert len(tx.samples) == 5 * cfg.n_symbol_samples
-
-    def test_rejects_bad_bits(self):
-        with pytest.raises(ValueError):
-            SymbolSequence([0, 2, 1])
-        with pytest.raises(ValueError):
-            SymbolSequence([])
 
 
 class TestSampledWaveform:
