@@ -79,6 +79,8 @@ class ChannelRealization:
         object.__setattr__(self, "delays", delays)
         if len(gains) != len(delays) or len(gains) < 1:
             raise ConfigError("channel needs >= 1 tap with matching gains/delays")
+        if not all(map(math.isfinite, gains + delays)):
+            raise ConfigError("tap gains and delays must all be finite")
         if any(d2 < d1 for d1, d2 in zip(delays, delays[1:])):
             raise ConfigError("tap delays must be sorted non-decreasing")
         if abs(delays[0]) > 1e-15:
@@ -251,8 +253,9 @@ def _standard_normal(seed, n: int, threads: int = 1) -> np.ndarray:
     The calling thread draws ``out[:h]`` while a helper thread draws
     ``out[h:]`` from the advanced generator.  The first generator's next
     normals, found at offset ``j`` of ``out[h:]``, place the splice:
-    ``out[h:]`` shifts left by ``j``, in ``j``-long chunks so that no copy
-    of the half is made, and the advanced generator draws the last ``j``.
+    ``out[h:]`` shifts left by ``j`` in one slice assignment, which numpy
+    makes in place because its output starts before its input, and the
+    advanced generator draws the last ``j``.
     Where they are not found (a draw of a few dozen normals or less), the
     first generator draws ``out[h:]`` itself, so the bytes never depend on
     the splice.
@@ -273,9 +276,7 @@ def _standard_normal(seed, n: int, threads: int = 1) -> np.ndarray:
         first.bit_generator.state = state
         first.standard_normal(out=out[h:])
     elif j:
-        for a in range(h, n - j, j):
-            b = min(a + j, n - j)
-            out[a:b] = out[a + j:b + j]
+        out[h:n - j] = out[h + j:]
         second.standard_normal(out=out[n - j:])
     return out
 

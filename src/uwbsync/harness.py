@@ -27,7 +27,7 @@ from .channel import (
     DEFAULT_MAX_DELAY,
     check_snr_db,
     generate_cm1,
-    generate_tx,  # not called; the benchmark tracer wraps it (ROADMAP benchmark note)
+    generate_tx,  # not called; perfbench/spans.py's STAGES wraps it here
     propagate,
     single_path,
 )

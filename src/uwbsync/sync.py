@@ -233,16 +233,15 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     window = cfg.n_pulse_samples + cfg.n_shift_samples
     frame_pos = cfg.frame_start_samples()
     # In place in x[:n], n = hi - lag: the lagged products x[i] * x[i + lag]
-    # over x[i], bottom up in blocks no longer than the lag (a block's second
-    # factor lies above what it writes, so numpy makes no temporary); then
-    # their running sum; then the window sums from the top, one symbol at a
-    # time, so no block reads a sum that a higher block overwrote.  The
-    # window at j ends at j + window - 1: w[j] = x[j + window - 1] - x[j - 1],
-    # less nothing at j = 0.
+    # over x[i], then their running sum, then the window sums.  numpy makes
+    # no temporary for an overlapping 1-D call only when the output starts at
+    # or before each input it overlaps, as the product's does.  A window
+    # sum's input starts below its output, so they go one symbol at a time,
+    # which bounds numpy's copy of a block's input, and from the top, which
+    # keeps every block's input unwritten.  The window at j ends at
+    # j + window - 1: w[j] = x[j + window - 1] - x[j - 1], less nothing at 0.
     n = hi - lag
-    for a in range(0, n, lag):
-        b = min(n, a + lag)
-        np.multiply(x[a:b], x[a + lag:b + lag], out=x[a:b])
+    np.multiply(x[:n], x[lag:hi], out=x[:n])
     np.cumsum(x[:n], out=x[:n])
     w = x[window - 1:n]
     for top in range(len(w), 1, -n_s):

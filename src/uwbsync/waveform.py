@@ -25,8 +25,6 @@ __all__ = [
     "draw_th_code",
 ]
 
-DEFAULT_SAMPLE_RATE = 50e9
-
 # Shape parameter of the monocycle relative to its nominal duration.  With
 # tau_m = T_p / 2.5 the amplitude at the support edges is ~0.1% of the peak,
 # so truncating to [0, T_p] loses negligible energy.
@@ -74,7 +72,7 @@ class FrameConfig:
     ppm_shift: float = 1e-9
     pulse_duration: float = 0.8e-9
     th_code: tuple[int, ...] | None = None
-    sample_rate: float = DEFAULT_SAMPLE_RATE
+    sample_rate: float = 50e9
 
     def __post_init__(self):
         code = (0,) * self.n_frames_per_symbol if self.th_code is None else self.th_code
@@ -167,8 +165,7 @@ class SampledWaveform:
 
 
 @lru_cache(maxsize=32)
-def sampled_monocycle(pulse_duration: float,
-                      sample_rate: float = DEFAULT_SAMPLE_RATE) -> np.ndarray:
+def sampled_monocycle(pulse_duration: float, sample_rate: float) -> np.ndarray:
     """The unit-energy pulse on the sample grid (read-only array).
 
     A second-derivative-Gaussian monocycle centred at pulse_duration/2,

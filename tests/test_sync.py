@@ -643,7 +643,7 @@ class TestBuffers:
 
     def test_fine_scan_keeps_one_prefix_sum_sized_array(self):
         # The scan computes in the record, whose samples are the one
-        # prefix-sum-sized array: its traced peak stays under one more.
+        # prefix-sum-sized array: its traced peak stays well under one more.
         plan = ExperimentPlan()
         scene = build_trial_scene(plan, 8.0, 32, "nda", 0, 0)
         tau1, _ = coarse_sync(scene.received, scene.cfg, plan.coarse_cfg, 32, "nda")
@@ -657,7 +657,7 @@ class TestBuffers:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start < csum_bytes
+        assert peak - start < 0.75 * csum_bytes
 
     @pytest.mark.parametrize("model, snr_db, m, mode", [
         ("cm1", 8.0, 8, "nda"), ("cm1", 8.0, 8, "da"),
