@@ -21,10 +21,12 @@ from .waveform import (
     _GRID_TOL,
     ConfigError,
     FrameConfig,
+    SampledWaveform,
     draw_th_code,
 )
 from .channel import (
     DEFAULT_MAX_DELAY,
+    ChannelRealization,
     check_snr_db,
     generate_cm1,
     generate_tx,  # not called; perfbench/spans.py's STAGES wraps it here
@@ -172,11 +174,11 @@ def wrapped_error(tau_hat: float, delta_tau: float, t_symbol: float) -> float:
 class TrialScene:
     """What one trial draws before the floors run."""
 
-    cfg: object
-    channel: object
+    cfg: FrameConfig
+    channel: ChannelRealization
     delta_tau: float
     bits: list[int]
-    received: object
+    received: SampledWaveform
 
 
 def build_trial_scene(plan: ExperimentPlan, snr_db: float, m: int, mode: str,

@@ -124,11 +124,11 @@ def fine_extent(cfg: FrameConfig, fc: FineConfig, tau1: float) -> tuple[int, int
     return lo, hi
 
 
-def _samples_on_grid(r: SampledWaveform, cfg: FrameConfig) -> np.ndarray:
-    """The record's samples; the floors index them on ``cfg``'s grid only."""
-    if r.sample_rate != cfg.sample_rate:
-        raise ValueError(f"record sampled at {r.sample_rate!r} Hz, but the "
-                         f"frame format's grid is {cfg.sample_rate!r} Hz")
+def _unspent(r: SampledWaveform) -> np.ndarray:
+    """The record's samples, unless the fine floor has computed in them."""
+    if r.spent:
+        raise ValueError("record spent by the fine floor, which computes in "
+                         "its samples; run fine_sync on a copy to reuse them")
     return r.samples
 
 
@@ -143,7 +143,8 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig, cc: CoarseConfig,
     n_s, so its sign is ``training_pattern(k + 1) - training_pattern(k + 2)``;
     folding the signs in is what makes the DA average accumulate
     coherently.  Returns the argmax (ties -> smallest tau) and the full
-    objective curve.
+    objective curve.  ``r`` holds samples on ``cfg``'s grid; a record
+    spent by :func:`fine_sync` raises ``ValueError``.
     """
     if m < 1:
         raise ValueError(f"M = {m} must be >= 1")
@@ -155,7 +156,7 @@ def coarse_sync(r: SampledWaveform, cfg: FrameConfig, cc: CoarseConfig,
     n_grid = cc.grid_size(cfg)
     step_samples = n_s // n_grid
 
-    x = _samples_on_grid(r, cfg)
+    x = _unspent(r)
     need = coarse_extent(cfg, cc, m)
     if need > len(x):
         raise ValueError(
@@ -212,14 +213,16 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
 
     The lagged products, their running sum and the window sums are
     computed in place in the record's first hi samples (hi from
-    :func:`fine_extent`): the call clobbers ``r.samples[:hi - 2 n_s]``.
-    A caller that reads the record afterwards passes a copy.
+    :func:`fine_extent`): the call clobbers ``r.samples[:hi - 2 n_s]``
+    and marks ``r`` spent, so either floor then refuses it with a
+    ``ValueError``.  A caller that reads the samples afterwards passes a
+    new :class:`SampledWaveform` around a copy.
     """
     fs = cfg.sample_rate
     n_s = cfg.n_symbol_samples
     n_cand = fc.n_steps
     offsets = np.arange(-n_cand + 1, n_cand)
-    x = _samples_on_grid(r, cfg)
+    x = _unspent(r)
     k_avg = fc.n_symbols_avg
     lo, hi = fine_extent(cfg, fc, tau1)
     if lo < 0 or hi > len(x):
@@ -241,6 +244,7 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     # keeps every block's input unwritten.  The window at j ends at
     # j + window - 1: w[j] = x[j + window - 1] - x[j - 1], less nothing at 0.
     n = hi - lag
+    r.spent = True
     np.multiply(x[:n], x[lag:hi], out=x[:n])
     np.cumsum(x[:n], out=x[:n])
     w = x[window - 1:n]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import decimal
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -148,11 +148,13 @@ class FrameConfig:
 
 @dataclass
 class SampledWaveform:
-    """A received record: a uniformly sampled real-valued signal starting
-    at time 0, every sample finite."""
+    """A received record: real samples on its :class:`FrameConfig`'s grid
+    from time 0, every one finite.  :func:`~uwbsync.sync.fine_sync` computes
+    in the samples and sets ``spent``; both floors then refuse this wrapper,
+    though not a new one around the same samples."""
 
     samples: np.ndarray
-    sample_rate: float
+    spent: bool = field(default=False, init=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -160,8 +162,6 @@ class SampledWaveform:
             raise ValueError("samples must be one-dimensional")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must all be finite")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
 
 
 @lru_cache(maxsize=32)

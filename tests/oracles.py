@@ -5,9 +5,10 @@ statistic of Yang & Giannakis (IEEE Trans. Wireless Commun., 2005), one
 segment pair at a time; ``coarse_sync`` computes the same values from
 sums of step-long blocks.  The two fine objectives are direct forms of
 ``fine_sync``, and the pulse train is written pulse by pulse, apart from
-the library's one synthesis path.  The record oracle composes a record
-from two arrays, the templates overlap-added into zeros and then the
-scaled noise draw plus that sum, where ``propagate`` writes one.  The RMS
+the library's one synthesis path.  The record oracle adds each placed
+template, zero-padded to a record-long array of its own, to the scaled
+noise draw in symbol order, where ``propagate`` adds each template's own
+slice in place.  The RMS
 delay spread is the statistic the CM1 profile is specified by (Foerster
 et al., IEEE P802.15-02/490).
 """
@@ -71,25 +72,29 @@ def pulse_train(bits, cfg: FrameConfig) -> np.ndarray:
 
 def record(bits, ch, cfg: FrameConfig, timing_offset: float = 0.0,
            snr_db: float = math.inf, noise_seed=None) -> np.ndarray:
-    """The received record in two arrays: the channel template overlap-added
-    into zeros once per bit, in symbol order, then sigma * z + that sum."""
+    """The received record: sigma * z from ``default_rng(noise_seed)``
+    (zeros when noiseless), plus each placed template as its own
+    record-long array, added in symbol order."""
     template = aggregate_template(ch, cfg)
     n_s = cfg.n_symbol_samples
+    n = len(bits) * n_s
     n_off = int(round(timing_offset * cfg.sample_rate))
-    out = np.zeros(len(bits) * n_s)
+    if snr_db == math.inf:
+        out = np.zeros(n)
+    else:
+        head = template[:n_s]
+        sigma = noise_std(float(np.sum(head * head)), snr_db, snr_ref_samples(cfg))
+        out = sigma * np.random.default_rng(noise_seed).standard_normal(n)
     for k, bit in enumerate(bits):
         start = k * n_s + bit * cfg.n_shift_samples + n_off
-        seg = out[start:start + len(template)]
-        seg += template[:len(seg)]
-    if snr_db == math.inf:
-        return out
-    head = template[:n_s]
-    sigma = noise_std(float(np.sum(head * head)), snr_db, snr_ref_samples(cfg))
-    return sigma * np.random.default_rng(noise_seed).standard_normal(len(out)) + out
+        placed = np.zeros(n)
+        placed[start:start + len(template)] = template[:max(0, n - start)]
+        out = out + placed
+    return out
 
 
-def _segment_start(r: SampledWaveform, k: int, tau: float, cfg: FrameConfig) -> int:
-    return round((k * cfg.symbol_duration + tau) * r.sample_rate)
+def _segment_start(k: int, tau: float, cfg: FrameConfig) -> int:
+    return round((k * cfg.symbol_duration + tau) * cfg.sample_rate)
 
 
 def difference_template(r: SampledWaveform, k: int, tau: float, cfg: FrameConfig,
@@ -104,7 +109,7 @@ def difference_template(r: SampledWaveform, k: int, tau: float, cfg: FrameConfig
     shift = cfg.ppm_shift if ppm_shift is None else ppm_shift
     n_d = int(round(shift * cfg.sample_rate))
     n_s = cfg.n_symbol_samples
-    i0 = _segment_start(r, k, tau, cfg)
+    i0 = _segment_start(k, tau, cfg)
     lo, hi = i0 - n_d, i0 + n_s + n_d
     if lo < 0 or hi > len(r.samples):
         raise ValueError(
@@ -113,7 +118,7 @@ def difference_template(r: SampledWaveform, k: int, tau: float, cfg: FrameConfig
         )
     plus = r.samples[i0 + n_d:i0 + n_d + n_s]
     minus = r.samples[i0 - n_d:i0 - n_d + n_s]
-    return SampledWaveform(plus - minus, r.sample_rate)
+    return SampledWaveform(plus - minus)
 
 
 def dirty_correlation(r: SampledWaveform, k: int, tau: float,
@@ -127,7 +132,7 @@ def dirty_correlation(r: SampledWaveform, k: int, tau: float,
     """
     template = difference_template(r, k, tau, cfg)
     n_s = cfg.n_symbol_samples
-    i1 = _segment_start(r, k + 1, tau, cfg)
+    i1 = _segment_start(k + 1, tau, cfg)
     if i1 < 0 or i1 + n_s > len(r.samples):
         raise ValueError("segment k+1 outside the record; provide guard symbols")
     prod = r.samples[i1:i1 + n_s] * template.samples

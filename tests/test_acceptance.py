@@ -273,10 +273,10 @@ class TestCriterion10ScaleInvariance:
             r = propagate(bits, ch, cfg, timing_offset=dtau, snr_db=10.0,
                           noise_seed=60_000 + trial)
             tau1, _ = coarse_sync(r, cfg, cc, 8, "nda")
-            ref = fine_sync(SampledWaveform(r.samples.copy(), r.sample_rate),
+            ref = fine_sync(SampledWaveform(r.samples.copy()),
                             tau1, cfg, fc)[:2]
             for scale in (1e-3, 1e3):
-                scaled = SampledWaveform(r.samples * scale, r.sample_rate)
+                scaled = SampledWaveform(r.samples * scale)
                 assert coarse_sync(scaled, cfg, cc, 8, "nda")[0] == tau1
                 assert fine_sync(scaled, tau1, cfg, fc)[:2] == ref
         report("10 (scale invariance)", True,

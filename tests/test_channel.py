@@ -273,10 +273,10 @@ class TestPropagate:
              snr_db=4.0, noise_seed=7)
     @example(ch=CM1_17, bits=[1, 0], code=(0,) * 31 + (33,), offset=0.0,
              snr_db=12.0, noise_seed=1)
-    def test_record_equals_the_two_array_composition(self, cfg, ch, bits, code,
-                                                     offset, snr_db, noise_seed):
-        # Byte for byte: overlapping templates are summed in symbol order
-        # before they meet the noise, as in the two-array composition.
+    def test_record_is_the_noise_plus_each_template_in_symbol_order(
+            self, cfg, ch, bits, code, offset, snr_db, noise_seed):
+        # Byte for byte: each template is added into the noise in symbol
+        # order, where templates overlap too.
         cfg = replace(cfg, th_code=code)
         out = propagate(bits, ch, cfg, timing_offset=offset, snr_db=snr_db,
                         noise_seed=noise_seed)

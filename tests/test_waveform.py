@@ -207,4 +207,4 @@ class TestGenerateTx:
 class TestSampledWaveform:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            SampledWaveform(np.array([0.0, np.nan]), FS)
+            SampledWaveform(np.array([0.0, np.nan]))
