@@ -311,12 +311,9 @@ def propagate(bits, ch: ChannelRealization, cfg: FrameConfig, *,
     n_sym = cfg.n_symbol_samples
     n_off = int(round(timing_offset * cfg.sample_rate))
     n = values.size * n_sym
-    # The record is allocated before the template: in the other order a
-    # serial CM1 sweep's peak RSS read 67.4 MB in 4 of 10 runs, against
-    # 59.0-61.0 MB in all 10 in this one (perfbench sweep_cm1, 2-vCPU Xeon).
+    template = aggregate_template(ch, cfg)
     noisy = snr_db != math.inf
     out = _standard_normal(noise_seed, n, draw_threads) if noisy else np.zeros(n)
-    template = aggregate_template(ch, cfg)
     if noisy:
         # np.sum, not np.dot: a BLAS dot this long runs threaded, and its
         # rounding (so the record) then depends on the BLAS thread count.

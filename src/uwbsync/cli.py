@@ -216,6 +216,18 @@ def _numpy_simd():
         return "unknown"
 
 
+def _peak_rss_mb():
+    """This process's peak resident set so far, in MB of 2**20 bytes
+    (``ru_maxrss`` counts KiB on Linux and bytes on macOS); "unknown"
+    where Python has no ``resource`` module, as on Windows."""
+    try:
+        import resource
+    except ImportError:
+        return "unknown"
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return f"{peak / (2**20 if sys.platform == 'darwin' else 2**10):.1f}"
+
+
 def cmd_sweep(args) -> int:
     plan = load_plan(args.config)
     out_dir = Path(args.out)
@@ -240,6 +252,7 @@ def cmd_sweep(args) -> int:
         "numpy_version": np.__version__,
         "numpy_simd": _numpy_simd(),
         "sweep_wall_s": f"{sweep_wall_s:.3f}",
+        "peak_rss_mb": _peak_rss_mb(),
     })
     (out_dir / "manifest.cfg").write_text(manifest)
     if args.dump_objectives:

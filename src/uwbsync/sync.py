@@ -238,14 +238,18 @@ def fine_sync(r: SampledWaveform, tau1: float, cfg: FrameConfig,
     # In place in x[:n], n = hi - lag: the lagged products x[i] * x[i + lag]
     # over x[i], then their running sum, then the window sums.  numpy makes
     # no temporary for an overlapping 1-D call only when the output starts at
-    # or before each input it overlaps, as the product's does.  A window
+    # or before each input it overlaps, as the product's does; the product
+    # goes in blocks no longer than the lag, since such a block does not
+    # overlap its second input, so numpy keeps its vector loop.  A window
     # sum's input starts below its output, so they go one symbol at a time,
     # which bounds numpy's copy of a block's input, and from the top, which
     # keeps every block's input unwritten.  The window at j ends at
     # j + window - 1: w[j] = x[j + window - 1] - x[j - 1], less nothing at 0.
     n = hi - lag
     r.spent = True
-    np.multiply(x[:n], x[lag:hi], out=x[:n])
+    for a in range(0, n, lag):
+        b = min(n, a + lag)
+        np.multiply(x[a:b], x[a + lag:b + lag], out=x[a:b])
     np.cumsum(x[:n], out=x[:n])
     w = x[window - 1:n]
     for top in range(len(w), 1, -n_s):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from uwbsync import (ConfigError, CoarseConfig, ExperimentPlan, FineConfig,
                      FrameConfig)
 from uwbsync import harness
-from uwbsync.cli import (_KEY_OF_FIELD, _SCHEMA, _numpy_simd, load_plan, main,
-                         plan_to_config_text)
+from uwbsync.cli import (_KEY_OF_FIELD, _SCHEMA, _numpy_simd, _peak_rss_mb,
+                         load_plan, main, plan_to_config_text)
 
 from oracles import run_python
 
@@ -367,6 +368,7 @@ class TestSweepCommand:
         assert run_info["numpy_version"] == np.__version__
         assert run_info["numpy_simd"] == str(np.show_config(mode="dicts")["SIMD Extensions"])
         assert float(run_info["sweep_wall_s"]) > 0
+        assert float(run_info["peak_rss_mb"]) > 0
         replay = tmp_path / "replay"
         assert main(["sweep", str(out2 / "manifest.cfg"), "--out", str(replay)]) == 0
         assert (replay / "results.csv").read_bytes() == csv2
@@ -376,6 +378,22 @@ class TestSweepCommand:
         # numpy 1.24's show_config takes no mode.
         monkeypatch.setattr(np, "show_config", lambda: None)
         assert _numpy_simd() == "unknown"
+
+    @pytest.mark.parametrize("platform, maxrss", [("linux", 45 * 2**10),
+                                                  ("darwin", 45 * 2**20)])
+    def test_peak_rss_is_in_mb_on_linux_and_macos(self, monkeypatch, platform,
+                                                 maxrss):
+        # ru_maxrss counts KiB on Linux and bytes on macOS.
+        resource = pytest.importorskip("resource")
+        monkeypatch.setattr(resource, "getrusage",
+                            lambda who: SimpleNamespace(ru_maxrss=maxrss))
+        monkeypatch.setattr(sys, "platform", platform)
+        assert _peak_rss_mb() == "45.0"
+
+    def test_peak_rss_is_unknown_without_resource(self, monkeypatch):
+        # Windows has no resource module.
+        monkeypatch.setitem(sys.modules, "resource", None)
+        assert _peak_rss_mb() == "unknown"
 
     def test_reports_the_workers_it_uses(self, tmp_path, capsys):
         # One trial runs serially whatever --threads asks for, so this

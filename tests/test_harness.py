@@ -262,8 +262,9 @@ class TestRunSweep:
     def test_reproducible_across_worker_counts(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
                             raising=False)
+        # Two M values: trials run largest M first, not in the plan's order.
         plan = ExperimentPlan(
-            snr_grid_db=(10.0,), m_grid=(8,), modes=("nda", "da"),
+            snr_grid_db=(10.0,), m_grid=(8, 16), modes=("nda", "da"),
             trials_per_cell=4,
         )
         serial = records_to_csv(run_sweep(plan, n_workers=1))
@@ -280,7 +281,7 @@ class TestRunSweep:
         # they share is read-only, so the bytes cannot depend on the timing.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
                             raising=False)
-        plan = ExperimentPlan(snr_grid_db=(8.0,), m_grid=(8,), modes=("nda", "da"),
+        plan = ExperimentPlan(snr_grid_db=(8.0,), m_grid=(8, 16), modes=("nda", "da"),
                               trials_per_cell=3)
         serial = run_trials(plan, 1)
         sampled_monocycle.cache_clear()
@@ -291,9 +292,28 @@ class TestRunSweep:
         finally:
             sys.setswitchinterval(interval)
         assert pooled == serial
-        for gi in range(2):
+        for gi in range(4):
             for a, b in zip(pooled[3 * gi].objectives, serial[3 * gi].objectives):
                 assert np.array_equal(a, b)
+
+    def test_trials_run_largest_record_first_and_return_in_plan_order(
+            self, monkeypatch):
+        # The record grows with M: groups run in descending M, each group's
+        # trials together and in order, and come back in the plan's order.
+        calls = []
+
+        def spy(plan, snr_db, m, mode, trial_index, group_index, **kwargs):
+            calls.append((m, trial_index))
+            return run_trial(plan, snr_db, m, mode, trial_index, group_index, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", spy)
+        plan = ExperimentPlan(snr_grid_db=(8.0,), m_grid=(8, 32, 16), modes=("nda",),
+                              trials_per_cell=2, channel_model="single_path")
+        trials = run_trials(plan, 1)
+        assert calls == [(32, 0), (32, 1), (16, 0), (16, 1), (8, 0), (8, 1)]
+        for gi, (snr, m, mode) in enumerate(plan.groups()):
+            for t in range(2):
+                assert trials[2 * gi + t] == run_trial(plan, snr, m, mode, t, gi)
 
     def test_never_more_workers_than_cpus(self, monkeypatch, trial_threads):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
