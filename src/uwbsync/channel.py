@@ -10,7 +10,6 @@ link is modeled separately as the timing offset.
 
 from __future__ import annotations
 
-import copy
 import math
 import reprlib
 import threading
@@ -56,10 +55,8 @@ _NORM_TOL = 1e-9
 # about +3080 dB; the bound keeps every finite SNR far from both.
 MAX_ABS_SNR_DB = 300.0
 
-# Normals the first half's generator draws past its half, to find where
-# the second half's parse of the stream rejoins its own.  Sixteen doubles
-# drawn from different words do not match by chance.
-_LOOK_AHEAD = 16
+# Normals per noise block, each drawn from its own child of the noise seed.
+_BLOCK = 2**17
 
 
 @dataclass(frozen=True)
@@ -219,62 +216,30 @@ def partial_energies(template: np.ndarray, tau: float,
     return eps_a, eps_b, eps_r
 
 
-def _rejoin(tail: np.ndarray, look: np.ndarray) -> int | None:
-    """The first offset at which ``look`` runs in ``tail``, or None.
-
-    The offset is a few percent into ``tail``, so it is searched for in
-    doubling windows from the start.
-    """
-    lo, size = 0, 4096
-    while lo + len(look) <= len(tail):
-        for j in lo + np.flatnonzero(tail[lo:lo + size] == look[0]):
-            if np.array_equal(tail[j:j + len(look)], look):
-                return int(j)
-        lo += size
-        size *= 2
-    return None
-
-
 def _standard_normal(seed, n: int, threads: int = 1) -> np.ndarray:
-    """``np.random.default_rng(seed).standard_normal(n)``, byte for byte,
-    drawn on one thread or, for ``threads`` >= 2, on two.
-
-    numpy's ziggurat computes each normal only from the 64-bit words at its
-    own start: one word for most normals, more for a few.  So a second
-    generator advanced ``h = n // 2`` words parses the same PCG64 stream,
-    and within a few words its parse meets the first generator's.  From
-    there it draws the first generator's normals, from some ``j`` before
-    normal ``h`` on; ``j`` is about the extra words the first ``h``
-    normals took, some 2% of ``h``.
-
-    The calling thread draws ``out[:h]`` while a helper thread draws
-    ``out[h:]`` from the advanced generator.  The first generator's next
-    normals, found at offset ``j`` of ``out[h:]``, place the splice:
-    ``out[h:]`` shifts left by ``j`` in one slice assignment, which numpy
-    makes in place because its output starts before its input, and the
-    advanced generator draws the last ``j``.
-    Where they are not found (a draw of a few dozen normals or less), the
-    first generator draws ``out[h:]`` itself, so the bytes never depend on
-    the splice.
-    """
-    first = np.random.default_rng(seed)
-    if threads < 2:
-        return first.standard_normal(n)
-    h = n // 2
-    second = np.random.Generator(copy.deepcopy(first.bit_generator).advance(h))
+    """``n`` standard normals from ``seed``, an int or a ``SeedSequence``,
+    drawn on one thread or, for ``threads`` >= 2, on two.  Samples
+    ``[b * 2**17, (b + 1) * 2**17)`` are the first normals of
+    ``default_rng(SeedSequence(seed).spawn(b + 1)[b])``, a child keyed here
+    without spawning from ``seed``.  So the bytes do not depend on
+    ``threads``, and a shorter draw is the prefix of a longer one."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     out = np.empty(n)
-    helper = threading.Thread(target=second.standard_normal, kwargs={"out": out[h:]})
+
+    def draw(blocks):
+        for b in blocks:
+            rng = np.random.default_rng(np.random.SeedSequence(
+                ss.entropy, spawn_key=ss.spawn_key + (b,), pool_size=ss.pool_size))
+            rng.standard_normal(out=out[b * _BLOCK:(b + 1) * _BLOCK])
+
+    blocks = range(-(-n // _BLOCK))
+    if threads < 2:
+        draw(blocks)
+        return out
+    helper = threading.Thread(target=draw, args=(blocks[len(blocks) // 2:],))
     helper.start()
-    first.standard_normal(out=out[:h])
+    draw(blocks[:len(blocks) // 2])
     helper.join()
-    state = first.bit_generator.state
-    j = _rejoin(out[h:], first.standard_normal(_LOOK_AHEAD))
-    if j is None:
-        first.bit_generator.state = state
-        first.standard_normal(out=out[h:])
-    elif j:
-        out[h:n - j] = out[h + j:]
-        second.standard_normal(out=out[n - j:])
     return out
 
 
@@ -292,11 +257,10 @@ def propagate(bits, ch: ChannelRealization, cfg: FrameConfig, *,
     The output window is the bits' own, [0, K * symbol_duration) for K
     bits: the template tails past it are cut.  Tap delays and the timing
     offset are rounded to ``cfg``'s grid, the record's only grid.  The
-    record is one array: the noise drawn from ``noise_seed``, which a finite
-    ``snr_db`` requires (zeros when noiseless), with each template added
-    into it in place, in symbol order.
-    ``draw_threads`` (1 or 2) is the number of threads that draw the
-    noise; the record's bytes do not depend on it.
+    record is one array: the noise (zeros when noiseless), with each
+    template added into it in place, in symbol order.  A finite ``snr_db``
+    needs ``noise_seed``, an int or a ``SeedSequence``; ``draw_threads``
+    (1 or 2) threads draw the noise, the same bytes either way.
     """
     values = np.asarray(bits)
     if values.ndim != 1 or not values.size or not np.all((values == 0) | (values == 1)):

@@ -23,8 +23,8 @@ from . import __version__
 from .waveform import ConfigError, FrameConfig
 from .channel import snr_ref_samples
 from .sync import CoarseConfig, FineConfig
-from .harness import (ExperimentPlan, mse_records, records_to_csv, run_trials,
-                      snr_label, sweep_workers, wrapped_error)
+from .harness import (ExperimentPlan, mse_records, records_to_csv, run_trials, snr_label,
+                      sweep_draw_threads, sweep_workers, wrapped_error)
 
 # The config schema, one row per key: (section, key, plan field, unit).
 # The rows drive parsing, rendering and the unknown-key check.  A dotted
@@ -249,6 +249,7 @@ def cmd_sweep(args) -> int:
         "started_utc": started,
         "results_csv": str(out_dir / "results.csv"),
         "workers": workers,
+        "draw_threads": sweep_draw_threads(workers),
         "numpy_version": np.__version__,
         "numpy_simd": _numpy_simd(),
         "sweep_wall_s": f"{sweep_wall_s:.3f}",

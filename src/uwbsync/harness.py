@@ -49,6 +49,7 @@ __all__ = [
     "mse_records",
     "run_sweep",
     "sweep_workers",
+    "sweep_draw_threads",
     "records_to_csv",
     "snr_label",
 ]
@@ -249,6 +250,12 @@ def sweep_workers(plan: ExperimentPlan, n_workers: int) -> int:
     return max(1, min(n_workers, len(plan.groups()) * plan.trials_per_cell, _cpus()))
 
 
+def sweep_draw_threads(workers: int) -> int:
+    """Noise-draw threads per sweep worker: two where 2 * ``workers`` fit on
+    the CPUs, else one (always two made 2 workers on 2 CPUs 14% slower)."""
+    return 2 if 2 * workers <= _cpus() else 1
+
+
 def run_trials(plan: ExperimentPlan, n_workers: int = 1) -> list[TrialResult]:
     """Every trial of the plan: trial t of group gi is element
     ``gi * trials_per_cell + t``.
@@ -259,19 +266,17 @@ def run_trials(plan: ExperimentPlan, n_workers: int = 1) -> list[TrialResult]:
     :func:`sweep_workers` threads of this process; numpy releases the GIL
     in every heavy stage of a trial.  Results are bit-identical for any
     worker count: substreams are keyed by group and trial index.  Each
-    worker draws a record's noise on two threads when that leaves no more
-    threads than CPUs, else on one; the bytes are the same either way.
+    worker draws a record's noise on :func:`sweep_draw_threads` threads;
+    the bytes are the same either way.
     """
     workers = sweep_workers(plan, n_workers)
-    # Two draw threads at any worker count made 2 workers on 2 CPUs 14% slower.
-    trial = partial(run_trial, plan, draw_threads=2 if 2 * workers <= _cpus() else 1)
+    trial = partial(run_trial, plan, draw_threads=sweep_draw_threads(workers))
     n = plan.trials_per_cell
     jobs = [(snr, m, mode, t, gi)
             for gi, (snr, m, mode) in enumerate(plan.groups()) for t in range(n)]
-    # Largest M first (the record grows with M), each group's trials together
-    # and in order: glibc keeps freed blocks below the largest one freed so
-    # far in the heap, so small records run first stay resident under later
-    # large ones.
+    # The record grows with M.  glibc keeps freed blocks below the largest
+    # one freed so far in the heap, so small records run first would stay
+    # resident under later large ones.
     jobs.sort(key=lambda job: -job[1])
     if workers == 1:
         done = map(trial, *zip(*jobs))

@@ -15,7 +15,7 @@ pattern, so each DA pair carries one bit twice; an NDA pair whose bits
 differ scores 0 when the PPM shift is wider than the pulse).  Its peak
 is pulse-sharp, which is what lets it remove the coarse grid
 quantization.  On the default grid it clearly lowers the MSE only at 12
-and 16 dB, and it raises it at 8 dB M=32 DA (the README names the cells).
+and 16 dB, and it raises it at 8 dB M=32 (the README names the cells).
 
 Both floors report their offset in [0, T_s), as the estimators see the
 timing offset modulo one symbol.  Each also returns its objective curve,

@@ -8,11 +8,13 @@ sums of step-long blocks.  The two fine objectives are direct forms of
 the library's one synthesis path.  The record oracle adds each placed
 template, zero-padded to a record-long array of its own, to the scaled
 noise draw in symbol order, where ``propagate`` adds each template's own
-slice in place.  The RMS
+slice in place.  The noise oracle takes each 2**17-sample block's seed
+through numpy's own ``SeedSequence.spawn``.  The RMS
 delay spread is the statistic the CM1 profile is specified by (Foerster
 et al., IEEE P802.15-02/490).
 """
 
+import copy
 import math
 import os
 import subprocess
@@ -46,6 +48,19 @@ def random_bits(n: int, seed) -> list[int]:
     return np.random.default_rng(seed).integers(0, 2, size=n).tolist()
 
 
+def noise(seed, n: int) -> np.ndarray:
+    """``n`` standard normals from ``seed`` (an int or a ``SeedSequence``,
+    left unspawned), 2**17 at a time: block b is the first normals of the
+    generator of ``seed``'s child b."""
+    block = 2**17
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    children = copy.deepcopy(seed).spawn(-(-n // block))
+    return np.concatenate([np.empty(0)] + [
+        np.random.default_rng(child).standard_normal(min(block, n - b * block))
+        for b, child in enumerate(children)])
+
+
 def rms_delay_spread(ch) -> float:
     """Energy-weighted RMS spread of a channel's tap delays, in seconds."""
     w = np.asarray(ch.gains) ** 2
@@ -72,7 +87,7 @@ def pulse_train(bits, cfg: FrameConfig) -> np.ndarray:
 
 def record(bits, ch, cfg: FrameConfig, timing_offset: float = 0.0,
            snr_db: float = math.inf, noise_seed=None) -> np.ndarray:
-    """The received record: sigma * z from ``default_rng(noise_seed)``
+    """The received record: sigma * z, z the :func:`noise` of ``noise_seed``
     (zeros when noiseless), plus each placed template as its own
     record-long array, added in symbol order."""
     template = aggregate_template(ch, cfg)
@@ -84,7 +99,7 @@ def record(bits, ch, cfg: FrameConfig, timing_offset: float = 0.0,
     else:
         head = template[:n_s]
         sigma = noise_std(float(np.sum(head * head)), snr_db, snr_ref_samples(cfg))
-        out = sigma * np.random.default_rng(noise_seed).standard_normal(n)
+        out = sigma * noise(noise_seed, n)
     for k, bit in enumerate(bits):
         start = k * n_s + bit * cfg.n_shift_samples + n_off
         placed = np.zeros(n)

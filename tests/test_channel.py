@@ -1,5 +1,6 @@
 """Channel model: tap statistics, propagation, energies, noise calibration."""
 
+import copy
 import math
 import tracemalloc
 import warnings
@@ -20,7 +21,6 @@ from uwbsync import (
     sampled_monocycle,
     single_path,
 )
-from uwbsync import channel as channel_module
 from uwbsync.channel import _standard_normal, noise_std, snr_ref_samples
 from uwbsync.harness import ExperimentPlan, build_trial_scene
 
@@ -28,6 +28,7 @@ from oracles import (
     FRAME,
     dirty_correlation,
     energy,
+    noise,
     pulse_train,
     random_bits,
     record,
@@ -299,8 +300,8 @@ class TestPropagate:
             assert peak < 1.25 * scene.received.samples.nbytes
 
     def test_noise_is_added_to_the_clean_record(self, cfg):
-        # Bit for bit: the noisy record is the clean one plus
-        # normal(0, sigma) drawn from the noise seed.
+        # Bit for bit: the noisy record is the clean one plus sigma times
+        # the noise seed's standard normals.
         bits = random_bits(5, 4)
         ch = generate_cm1(12)
         clean = propagate(bits, ch, cfg, timing_offset=300e-9)
@@ -308,8 +309,8 @@ class TestPropagate:
                           noise_seed=77)
         template = aggregate_template(ch, cfg)[:cfg.n_symbol_samples]
         sigma = noise_std(float(np.sum(template * template)), 4.0, snr_ref_samples(cfg))
-        noise = np.random.default_rng(77).normal(0.0, sigma, len(clean.samples))
-        assert noisy.samples.tobytes() == (clean.samples + noise).tobytes()
+        z = noise(77, len(clean.samples))
+        assert noisy.samples.tobytes() == (clean.samples + sigma * z).tobytes()
 
     def test_noise_variance_calibration(self, cfg):
         # Measured variance over ~1e6 noise-only samples within 1%.
@@ -341,8 +342,10 @@ class TestPropagate:
             assert 0.0 < noise_std(1.0, snr_db, 1) < math.inf
 
 
-# Below 32 normals a draw cannot splice; above, odd and even sizes can.
-DRAW_SIZES = st.integers(0, 31) | st.integers(32, 60_000)
+BLOCK = 2**17
+# Sizes within the first block, at its edges and across a few blocks.
+DRAW_SIZES = (st.integers(0, 40) | st.integers(BLOCK - 40, BLOCK + 40)
+              | st.integers(0, 3 * BLOCK))
 
 
 class TestNoiseDraw:
@@ -350,50 +353,56 @@ class TestNoiseDraw:
     @given(seed=st.integers(0, 2**64 - 1), n=DRAW_SIZES)
     @example(seed=0, n=728_000)  # the M=8 record of the default format
     @example(seed=1, n=1_960_000)  # the M=32 record
-    @example(seed=4, n=40_001)
+    @example(seed=2, n=BLOCK - 1)
+    @example(seed=2, n=BLOCK)
+    @example(seed=2, n=BLOCK + 1)
     @example(seed=2, n=17)
     @example(seed=3, n=0)
     def test_two_threads_draw_the_one_thread_bytes(self, seed, n):
-        expected = np.random.default_rng(seed).standard_normal(n)
-        assert _standard_normal(seed, n).tobytes() == expected.tobytes()
-        assert _standard_normal(seed, n, 2).tobytes() == expected.tobytes()
+        one = _standard_normal(seed, n)
+        assert one.shape == (n,)
+        assert _standard_normal(seed, n, 2).tobytes() == one.tobytes()
 
-    def test_record_sized_draw_splices_and_a_tiny_one_falls_back(self, monkeypatch):
-        offsets = []
-        rejoin = channel_module._rejoin
+    @pytest.mark.parametrize("seed", [
+        pytest.param(9, id="int"),
+        # A trial's noise substream: a spawned SeedSequence.
+        pytest.param(np.random.SeedSequence(5, spawn_key=(0, 0, 2)), id="seed_sequence"),
+    ])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_block_b_is_the_first_normals_of_child_b(self, seed, threads):
+        n = 3 * BLOCK + 17
+        out = _standard_normal(seed, n, threads)
+        for b in range(4):
+            ss = (copy.deepcopy(seed) if isinstance(seed, np.random.SeedSequence)
+                  else np.random.SeedSequence(seed))
+            child = ss.spawn(b + 1)[b]
+            size = min(BLOCK, n - b * BLOCK)
+            expected = np.random.default_rng(child).standard_normal(size)
+            assert out[b * BLOCK:(b + 1) * BLOCK].tobytes() == expected.tobytes(), b
+        assert out.tobytes() == noise(seed, n).tobytes()
+        # The children are keyed, not spawned: the seed is left as it was.
+        if isinstance(seed, np.random.SeedSequence):
+            assert seed.n_children_spawned == 0
 
-        def spy(tail, look):
-            offsets.append(rejoin(tail, look))
-            return offsets[-1]
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n1=DRAW_SIZES, extra=st.integers(1, 2 * BLOCK))
+    @example(seed=0, n1=728_000, extra=1_232_000)  # M=8's record length, then M=32's
+    def test_a_shorter_draw_is_the_prefix_of_a_longer_one(self, seed, n1, extra):
+        longer = _standard_normal(seed, n1 + extra, 2)
+        assert longer[:n1].tobytes() == _standard_normal(seed, n1).tobytes()
 
-        monkeypatch.setattr(channel_module, "_rejoin", spy)
-        seed = np.random.SeedSequence(5, spawn_key=(0, 0))
-        for n in (728_000, 17):
-            expected = np.random.default_rng(seed).standard_normal(n)
-            assert _standard_normal(seed, n, 2).tobytes() == expected.tobytes()
-        splice, fallback = offsets
-        # The splice sits a few percent into the second half; 9 normals
-        # cannot hold the 16 looked for.
-        assert 0 < splice < 728_000 // 2 // 10
-        assert fallback is None
-
-    def test_split_draw_splices_without_a_temporary(self):
-        # The splice shifts the second half left in one overlapping copy,
-        # which numpy makes in place: the traced peak is the output and
-        # small change.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draw_makes_no_temporary(self, threads):
+        # Each block is drawn into its slice of the output: the traced peak
+        # is the output and small change.
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            out = _standard_normal(1, 1_960_000, 2)
+            out = _standard_normal(1, 1_960_000, threads)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= out.nbytes + 64 * 1024
-
-    def test_fallback_draws_the_same_bytes(self, monkeypatch):
-        monkeypatch.setattr(channel_module, "_rejoin", lambda tail, look: None)
-        expected = np.random.default_rng(9).standard_normal(728_000)
-        assert _standard_normal(9, 728_000, 2).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", [8, 32])
     def test_trial_record_does_not_depend_on_draw_threads(self, m):

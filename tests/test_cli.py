@@ -365,6 +365,8 @@ class TestSweepCommand:
         manifest.read(out2 / "manifest.cfg")
         run_info = manifest["run_info"]
         assert int(run_info["workers"]) == harness.sweep_workers(plan, 2)
+        assert (int(run_info["draw_threads"])
+                == harness.sweep_draw_threads(int(run_info["workers"])))
         assert run_info["numpy_version"] == np.__version__
         assert run_info["numpy_simd"] == str(np.show_config(mode="dicts")["SIMD Extensions"])
         assert float(run_info["sweep_wall_s"]) > 0

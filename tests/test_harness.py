@@ -30,7 +30,8 @@ from uwbsync import (
 )
 from uwbsync import harness
 from uwbsync.cli import load_plan
-from uwbsync.harness import mse_records, run_trials, snr_label, sweep_workers
+from uwbsync.harness import (mse_records, run_trials, snr_label, sweep_draw_threads,
+                             sweep_workers)
 
 from oracles import run_python
 
@@ -365,6 +366,7 @@ class TestRunSweep:
                               trials_per_cell=2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
+        assert sweep_draw_threads(workers) == draw_threads
         csv = records_to_csv(run_sweep(plan, n_workers=workers))
         assert draw_threads_seen == [draw_threads] * 2
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
